@@ -6,8 +6,10 @@ temporaries that dominate the compiled engine on cache-sized tiles, and
 releasing the GIL inside segment calls lets the tile pool scale on real
 cores instead of time-slicing one interpreter.
 
-Records ``fig11_native/compiled``, ``fig11_native/native`` and
-``fig11_native/native_parallel`` in BENCH_results.json.  Gates (both on the
+Records ``fig11_native/compiled``, ``fig11_native/native``,
+``fig11_native/native_parallel`` and ``fig11_native/compile_s`` (the C
+compiler's wall time for this nest, the cost every new schedule pays before
+its first native frame) in BENCH_results.json.  Gates (both on the
 paired-round median-of-ratios discipline from fig8/fig9, robust to shared-
 host timing noise):
 
@@ -28,7 +30,8 @@ import pytest
 
 from repro.halide import FuncPipeline, Schedule, configure_pool
 from repro.halide.backends import native as native_mod
-from repro.halide.backends.native import native_stats, toolchain_path
+from repro.halide.backends.native import (native_stats, reset_native_caches,
+                                          toolchain_path)
 from repro.halide.parallel import parallel_enabled, pool_size
 from repro.rejuvenation import lift_photoshop_filter
 
@@ -158,6 +161,47 @@ def test_fig11_native_parallel_scaling(bench_planes_large):
     if pool_size() >= 4 and parallel_enabled():
         assert speedup >= 2.0, \
             f"GIL-free parallel tiles only {speedup:.2f}x over serial native"
+
+
+#: Fresh builds timed for ``compile_s`` (the minimum is recorded).
+COMPILE_REPEATS = 3
+
+
+@pytest.mark.skipif(not HAVE_NATIVE,
+                    reason="no C toolchain / cffi: nothing is compiled")
+def test_fig11_native_compile_time(bench_planes_large, tmp_path, monkeypatch):
+    """``cc`` wall time for the fig11 nest, from a fresh store each time.
+
+    Dropping the in-process caches and pointing the artifact store at an
+    empty directory forces a real compile of the digest; the time is what
+    ``native_stats()["compile_seconds"]`` measured around the compiler.
+    """
+    from repro.store import STORE_DIR_ENV
+
+    frame = bench_planes_large["r"]
+    samples = []
+    try:
+        for repeat in range(COMPILE_REPEATS):
+            monkeypatch.setenv(STORE_DIR_ENV, str(tmp_path / f"s{repeat}"))
+            reset_native_caches()
+            before = native_stats()
+            _two_stage_blur("serial").realize(frame, engine="native")
+            after = native_stats()
+            assert after["compiles"] == before["compiles"] + 1
+            samples.append(after["compile_seconds"]
+                           - before["compile_seconds"])
+            source_kb = (after["source_bytes"] - before["source_bytes"]) / 1024
+    finally:
+        reset_native_caches()
+    best = min(samples)
+    print_table(
+        f"Figure 11 (native compile): two-stage blur at "
+        f"{LARGE_WIDTH}x{LARGE_HEIGHT}, best of {COMPILE_REPEATS} fresh builds",
+        ["C source", "cc seconds"],
+        [[f"{source_kb:.0f} KB", f"{best:.3f}"]])
+    record_bench("fig11_native/compile_s", best, engine="native",
+                 image_size=(LARGE_WIDTH, LARGE_HEIGHT),
+                 source_kb=round(source_kb, 1), tile=[TILE_W, TILE_H])
 
 
 def test_fig11_engines_agree(bench_planes_large):

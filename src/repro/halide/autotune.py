@@ -29,20 +29,25 @@ workload) and persists its winner afterwards, which is what lets
 the space also includes each producer's **compute level** — legacy inline
 fusion, ``compute_root``, or ``compute_at`` anchored in its consumer's tile
 loop — so the tuner explores the locality/recompute trade-off the lowered
-loop-nest IR (:mod:`repro.halide.lower`) exposes.
+loop-nest IR (:mod:`repro.halide.lower`) exposes.  On the native engine it
+first lowers the timed candidates and builds their shared objects
+concurrently (at most one compiler per core), so compiles overlap each
+other and no timing overlaps a compile.
 """
 
 from __future__ import annotations
 
+import os
 import random
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 from .costmodel import (CandidateScore, rank_func_candidates,
                         rank_pipeline_candidates)
 from .func import Func, Schedule, vectorize_width
 from .parallel import parallel_enabled, pool_size, warm_pool
-from .realize import realize
+from .realize import get_default_engine, realize
 from .tuningdb import (TuningDatabase, TuningRecord, func_workload,
                        pipeline_workload)
 
@@ -338,6 +343,33 @@ def _time_pipeline(pipeline, image, params, engine, repeats: int = 3) -> float:
     return best
 
 
+def _prebuild_native(pipeline, candidates, indices, image, params) -> None:
+    """Lower the given candidates and build their native programs at once.
+
+    Lowering mutates the pipeline's schedules, so it runs here, in order;
+    only the compiles fan out, one per core.
+    """
+    from .backends import get_backend
+    from .lower import PipelineLoweringError
+
+    lowerings = []
+    for index in indices:
+        _apply_schedules(pipeline, candidates[index])
+        if not pipeline.uses_lowering():
+            continue
+        try:
+            lowerings.append(pipeline.lower(image.shape))
+        except PipelineLoweringError:
+            continue
+    if lowerings:
+        backend = get_backend("native")
+        workers = min(len(lowerings), os.cpu_count() or 1)
+        with ThreadPoolExecutor(max_workers=workers) as builders:
+            list(builders.map(
+                lambda lowered: backend.prebuild(lowered, image, params),
+                lowerings))
+
+
 def autotune_pipeline(pipeline, image, params=None, iterations: int = 10,
                       seed: int = 0, engine: str | None = None,
                       top_k: int | None = DEFAULT_TOP_K, store=None,
@@ -351,7 +383,8 @@ def autotune_pipeline(pipeline, image, params=None, iterations: int = 10,
     candidate *after* every fully-honoured one, so the timed top-k is spent
     on candidates whose requested levels actually run.  The pipeline is
     left carrying the best schedules found.  Database semantics (``store``,
-    ``reuse``) match :func:`autotune`.
+    ``reuse``) match :func:`autotune`.  On the native engine every timed
+    candidate's program is built (concurrently) before any is timed.
     """
     rng = random.Random(seed)
     params = params or {}
@@ -378,7 +411,10 @@ def autotune_pipeline(pipeline, image, params=None, iterations: int = 10,
                                       backend=engine)
     history: list[tuple[tuple[str, ...], float]] = []
     best_schedules, best_time = None, float("inf")
-    for index in _select_timed(scores, top_k):
+    timed = _select_timed(scores, top_k)
+    if (engine or get_default_engine()) == "native":
+        _prebuild_native(pipeline, candidates, timed, image, params)
+    for index in timed:
         candidate = candidates[index]
         _apply_schedules(pipeline, candidate)
         elapsed = _time_pipeline(pipeline, image, params, engine)

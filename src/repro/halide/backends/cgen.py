@@ -34,6 +34,17 @@ Segment ABI::
 bindings the segment references, and ``iparams``/``fparams`` the pipeline
 parameters.  Return codes: 0 ok, 1 integer division by zero, 2 reduction
 scatter index out of bounds, 3 scratch allocation failure.
+
+Build cost scales with the number of *distinct* kernels, not call sites:
+
+* every ``Store`` / ``ReduceLoop`` region loop is emitted as a ``static``
+  kernel function ``rp_k{n}`` taking its buffer views (data pointer plus
+  extents), its region (offset/extent/origin, store-local params) and the
+  pipeline parameters it reads as arguments, and returning the same rc
+  codes.  Kernels whose text is identical (the same Func stored into
+  different buffers or segments) are emitted once and shared;
+* a parallel ``For`` whose body is parallel-free gets its serial variant as
+  a C loop that calls the body segment, not as a second copy of the nest.
 """
 
 from __future__ import annotations
@@ -162,24 +173,114 @@ class _BufView:
     dtype: DType
     dims: List[str]
     strides: List[str]
-    base: str = "0"
 
     @property
     def rank(self) -> int:
         return len(self.dims)
 
 
+#: Integer bounds ``(lo, hi)`` of a value; ``None`` is unbounded.
+_Range = Tuple[Optional[int], Optional[int]]
+_UNBOUNDED: _Range = (None, None)
+
+
+def _dtype_range(dtype: DType) -> _Range:
+    """Value range of a narrow integer type."""
+    if dtype.is_signed:
+        return -(1 << (dtype.bits - 1)), (1 << (dtype.bits - 1)) - 1
+    return 0, (1 << dtype.bits) - 1
+
+
+def _value_range(expr, var_ranges: Mapping[str, _Range],
+                 param_ranges: Mapping[str, _Range]) -> Optional[_Range]:
+    """Integer bounds of a scalar index expression, for dropping index wraps.
+
+    Understands constants, bound variables, store-local params, casts and
+    ``+ - *`` / min / max; returns ``None`` for anything else (including
+    every float-valued or global-parameter subexpression), which also
+    poisons every enclosing operator.  Overflow is ignored, as the buffers
+    that index values address are far smaller than 2**63.
+    """
+    if isinstance(expr, bool):
+        return None
+    if isinstance(expr, int):
+        return expr, expr
+    if isinstance(expr, Const):
+        if isinstance(expr.value, float):
+            return None
+        return int(expr.value), int(expr.value)
+    if isinstance(expr, Var):
+        return var_ranges.get(expr.name, _UNBOUNDED)
+    if isinstance(expr, Param):
+        return param_ranges.get(expr.name)
+    if isinstance(expr, Cast):
+        if expr.dtype.is_float:
+            return None
+        inner = _value_range(expr.a, var_ranges, param_ranges)
+        if expr.dtype.bits >= 64:
+            return inner
+        # a narrowing cast wraps into the type's range
+        full = _dtype_range(expr.dtype)
+        if inner is not None and None not in inner \
+                and full[0] <= inner[0] and inner[1] <= full[1]:
+            return inner
+        return full
+    if not isinstance(expr, BinOp) or expr.op not in (
+            Op.ADD, Op.SUB, Op.MUL, Op.MIN, Op.MAX):
+        return None
+    a = _value_range(expr.a, var_ranges, param_ranges)
+    b = _value_range(expr.b, var_ranges, param_ranges)
+    if a is None or b is None:
+        return None
+    (alo, ahi), (blo, bhi) = a, b
+
+    def known(*values):
+        return all(v is not None for v in values)
+
+    if expr.op == Op.ADD:
+        return (alo + blo if known(alo, blo) else None,
+                ahi + bhi if known(ahi, bhi) else None)
+    if expr.op == Op.SUB:
+        return (alo - bhi if known(alo, bhi) else None,
+                ahi - blo if known(ahi, blo) else None)
+    if expr.op == Op.MIN:
+        his = [v for v in (ahi, bhi) if v is not None]
+        return (min(alo, blo) if known(alo, blo) else None,
+                min(his) if his else None)
+    if expr.op == Op.MAX:
+        los = [v for v in (alo, blo) if v is not None]
+        return (max(los) if los else None,
+                max(ahi, bhi) if known(ahi, bhi) else None)
+    if known(alo, ahi, blo, bhi):
+        products = [alo * blo, alo * bhi, ahi * blo, ahi * bhi]
+        return min(products), max(products)
+    return _UNBOUNDED
+
+
 def _contains_parallel(stmt: Stmt) -> bool:
     return any(isinstance(node, For) and node.kind == "parallel" for node in stmt.walk())
 
 
-class _SegmentEmitter:
-    """Emits one segment function; owns its naming and slot bookkeeping."""
+def _stride_lines(view: _BufView) -> List[str]:
+    """Row-major strides of a contiguous view, from its extents."""
+    lines = []
+    acc = "1"
+    for a in range(view.rank - 1, -1, -1):
+        lines.append(f"    const int64_t {view.strides[a]} = {acc};")
+        acc = f"{view.strides[a]} * {view.dims[a]}"
+    return lines
 
-    def __init__(self, name: str, registry: Mapping[str, Tuple[DType, int]],
-                 param_kinds: Mapping[str, str]):
-        self.name = name
-        self.registry = registry
+
+class _Emitter:
+    """Emits one C function; owns its naming and slot bookkeeping.
+
+    Buffer views are named ``b{slot}`` (extents ``b{slot}_d{axis}``, strides
+    ``b{slot}_s{axis}``) and parameters ``ip{n}_*`` / ``fp{n}_*`` in first-use
+    order; subclasses decide whether those arrive through the segment ABI's
+    arrays or as kernel arguments.
+    """
+
+    def __init__(self, param_kinds: Mapping[str, str]):
         self.param_kinds = param_kinds
         self.lines: List[str] = []
         self.depth = 1
@@ -202,6 +303,9 @@ class _SegmentEmitter:
         self.local_params: Dict[str, str] = {}
         # restricted Var scope inside Store/ReduceLoop value expressions
         self.value_scope: Optional[Dict[str, str]] = None
+        # known bounds of bound variables / store-local params
+        self.var_ranges: Dict[str, _Range] = {}
+        self.param_ranges: Dict[str, _Range] = {}
 
     # ------------------------------------------------------------------ util
 
@@ -226,18 +330,13 @@ class _SegmentEmitter:
     # ---------------------------------------------------------------- slots
 
     def _view(self, buffer: str) -> _BufView:
-        view = self.bufs.get(buffer)
-        if view is not None:
-            return view
-        entry = self.registry.get(buffer)
-        if entry is None:
-            raise CGenError(f"segment references unknown buffer {buffer!r}")
-        dtype, rank = entry
+        raise NotImplementedError
+
+    def _add_view(self, buffer: str, dtype: DType, rank: int) -> _BufView:
         slot = len(self.buf_order)
-        ctype = _storage_ctype(dtype)
         view = _BufView(
             ptr=f"b{slot}",
-            ctype=ctype,
+            ctype=_storage_ctype(dtype),
             dtype=dtype,
             dims=[f"b{slot}_d{a}" for a in range(rank)],
             strides=[f"b{slot}_s{a}" for a in range(rank)],
@@ -261,21 +360,28 @@ class _SegmentEmitter:
         kind = self.param_kinds.get(expr.name)
         if kind is None:
             kind = "float" if isinstance(expr.value, float) else "int"
+        return self._param_slot(expr.name, kind, expr.value)
+
+    def _param_slot(self, name: str, kind: str, default) -> Tuple[str, str]:
+        self.param_defaults.setdefault(name, default)
         if kind == "float":
-            ident = self.fparam_slots.get(expr.name)
+            ident = self.fparam_slots.get(name)
             if ident is None:
-                ident = f"fp{len(self.fparam_order)}_{_SANITIZE.sub('_', expr.name)}"
-                self.fparam_slots[expr.name] = ident
-                self.fparam_order.append(expr.name)
-            self.param_defaults.setdefault(expr.name, expr.value)
+                ident = f"fp{len(self.fparam_order)}_{_SANITIZE.sub('_', name)}"
+                self.fparam_slots[name] = ident
+                self.fparam_order.append(name)
             return ident, "f64"
-        ident = self.iparam_slots.get(expr.name)
+        ident = self.iparam_slots.get(name)
         if ident is None:
-            ident = f"ip{len(self.iparam_order)}_{_SANITIZE.sub('_', expr.name)}"
-            self.iparam_slots[expr.name] = ident
-            self.iparam_order.append(expr.name)
-        self.param_defaults.setdefault(expr.name, expr.value)
+            ident = f"ip{len(self.iparam_order)}_{_SANITIZE.sub('_', name)}"
+            self.iparam_slots[name] = ident
+            self.iparam_order.append(name)
         return ident, "i64"
+
+    def _range(self, value) -> _Range:
+        """Bounds of an int64 scalar in the current scope."""
+        return _value_range(value, self.var_ranges, self.param_ranges) \
+            or _UNBOUNDED
 
     # ------------------------------------------------------------ expr emit
 
@@ -336,16 +442,18 @@ class _SegmentEmitter:
             raise CGenError(
                 f"access to {expr.buffer!r} has {len(expr.indices)} indices, "
                 f"buffer rank is {view.rank}")
-        terms = [view.base] if view.base != "0" else []
+        terms = []
         # indices are innermost-first: position p addresses numpy axis rank-1-p
         for position, index in enumerate(expr.indices):
             axis = view.rank - 1 - position
             val, kind = self._expr(index)
             idx = self._temp("int64_t", self._as_i64(val, kind))
-            # branchless numpy-style negative wrap: idx += dim when idx < 0
-            wrapped = self._temp(
-                "int64_t", f"{idx} + (({idx} >> 63) & {view.dims[axis]})")
-            terms.append(f"{wrapped} * {view.strides[axis]}")
+            low = self._range(index)[0]
+            if low is None or low < 0:
+                # branchless numpy-style negative wrap: idx += dim when idx < 0
+                idx = self._temp(
+                    "int64_t", f"{idx} + (({idx} >> 63) & {view.dims[axis]})")
+            terms.append(f"{idx} * {view.strides[axis]}")
         flat = self._temp("int64_t", " + ".join(terms) if terms else "0")
         raw = self._temp(view.ctype, f"{view.ptr}[{flat}]")
         if expr.dtype.is_float:
@@ -489,6 +597,26 @@ class _SegmentEmitter:
         val, kind = self._expr(value)
         return self._as_i64(val, kind)
 
+
+class _SegmentEmitter(_Emitter):
+    """Emits one exported segment function (the ABI in the module doc)."""
+
+    def __init__(self, name: str, registry: Mapping[str, Tuple[DType, int]],
+                 param_kinds: Mapping[str, str], kernels: "_NestGenerator"):
+        super().__init__(param_kinds)
+        self.name = name
+        self.registry = registry
+        self.kernels = kernels
+
+    def _view(self, buffer: str) -> _BufView:
+        view = self.bufs.get(buffer)
+        if view is not None:
+            return view
+        entry = self.registry.get(buffer)
+        if entry is None:
+            raise CGenError(f"segment references unknown buffer {buffer!r}")
+        return self._add_view(buffer, *entry)
+
     # ----------------------------------------------------------- stmt emit
 
     def _stmt(self, stmt: Stmt) -> None:
@@ -529,6 +657,19 @@ class _SegmentEmitter:
         else:
             raise CGenError(f"cannot emit statement node {type(stmt).__name__}")
 
+    def _bound_body(self, name: str, ident: str, rng: _Range,
+                    body: Stmt) -> None:
+        """Emit ``body`` with ``name`` bound to the C variable ``ident``."""
+        saved = self.vars.get(name), self.var_ranges.get(name)
+        self.vars[name] = ident
+        self.var_ranges[name] = rng
+        self._stmt(body)
+        for table, value in zip((self.vars, self.var_ranges), saved):
+            if value is None:
+                table.pop(name, None)
+            else:
+                table[name] = value
+
     def _for(self, stmt: For) -> None:
         self.emit("{")
         self.depth += 1
@@ -538,13 +679,10 @@ class _SegmentEmitter:
         ident = self._fresh(f"v_{stmt.name}")
         self.emit(f"for (int64_t {ident} = {mn}; {ident} < {end}; ++{ident}) {{")
         self.depth += 1
-        saved = self.vars.get(stmt.name)
-        self.vars[stmt.name] = ident
-        self._stmt(stmt.body)
-        if saved is None:
-            self.vars.pop(stmt.name, None)
-        else:
-            self.vars[stmt.name] = saved
+        (lo, hi), (_, ext_hi) = self._range(stmt.min), self._range(stmt.extent)
+        self._bound_body(stmt.name, ident, (
+            lo, hi + ext_hi - 1 if hi is not None and ext_hi is not None
+            else None), stmt.body)
         self.depth -= 1
         self.emit("}")
         self.depth -= 1
@@ -555,13 +693,7 @@ class _SegmentEmitter:
         self.depth += 1
         ident = self._fresh(f"v_{stmt.name}")
         self.emit(f"int64_t {ident} = {self._scalar(stmt.value)};")
-        saved = self.vars.get(stmt.name)
-        self.vars[stmt.name] = ident
-        self._stmt(stmt.body)
-        if saved is None:
-            self.vars.pop(stmt.name, None)
-        else:
-            self.vars[stmt.name] = saved
+        self._bound_body(stmt.name, ident, self._range(stmt.value), stmt.body)
         self.depth -= 1
         self.emit("}")
 
@@ -602,201 +734,50 @@ class _SegmentEmitter:
         self.depth -= 1
         self.emit("}")
 
-    # ------------------------------------------------------------- Store
+    # ------------------------------------------------- Store / ReduceLoop
 
     def _store(self, stmt: Store) -> None:
-        func = stmt.func
-        if func.value is None:
-            raise CGenError(f"store of {func.name!r} has no pure definition")
-        rank = len(stmt.extent)
-        if rank == 0:
-            raise CGenError("rank-0 store")
-        self.emit(f"{{ /* store {stmt.label or func.name} */")
+        self.emit(f"{{ /* store {stmt.label or stmt.func.name} */")
         self.depth += 1
         # Param expressions are evaluated against the *outer* parameter scope
-        # (mirrors base._exec_store), so collect values first, register after.
-        local_values: List[Tuple[str, str]] = []
-        for pname, pexpr in stmt.param_exprs.items():
-            local_values.append((pname, self._temp("int64_t", self._scalar(pexpr))))
-        offs = [self._temp("int64_t", self._scalar(v)) for v in stmt.offset]
-        exts = [self._temp("int64_t", self._scalar(v)) for v in stmt.extent]
-        orgs = [self._temp("int64_t", self._scalar(v)) for v in stmt.eval_origin]
-        guard = " && ".join(f"{e} > 0" for e in exts)
-        self.emit(f"if ({guard}) {{")
-        self.depth += 1
-        view = self._view(stmt.buffer)
-        if view.rank != rank:
-            raise CGenError(
-                f"store extent rank {rank} != buffer rank {view.rank} "
-                f"for {stmt.buffer!r}")
-        if len(func.variables) != rank:
-            raise CGenError(
-                f"func {func.name!r} has {len(func.variables)} variables, "
-                f"store region rank is {rank}")
-        saved_locals = dict(self.local_params)
-        for pname, ident in local_values:
-            self.local_params[pname] = ident
-        width = vectorize_width(func.schedule)
-
-        def body(loop_idx: List[str]) -> None:
-            coords = [self._temp("int64_t", f"{orgs[a]} + {loop_idx[a]}")
-                      for a in range(rank)]
-            scope = {}
-            for position, var in enumerate(func.variables):
-                scope[var.name] = coords[rank - 1 - position]
-            saved_scope = self.value_scope
-            self.value_scope = scope
-            val, kind = self._expr(func.value)
-            wrapped, _ = self._wrap_cast(val, kind, func.dtype)
-            self.value_scope = saved_scope
-            terms = ([view.base] if view.base != "0" else [])
-            for a in range(rank):
-                terms.append(f"({offs[a]} + {loop_idx[a]}) * {view.strides[a]}")
-            flat = self._temp("int64_t", " + ".join(terms))
-            self.emit(f"{view.ptr}[{flat}] = ({view.ctype})({wrapped});")
-
-        # serial loops over the outer axes, SIMD split on the innermost
-        outer_idx: List[str] = []
-        for a in range(rank - 1):
-            ident = self._fresh(f"i{a}")
-            self.emit(f"for (int64_t {ident} = 0; {ident} < {exts[a]}; ++{ident}) {{")
-            self.depth += 1
-            outer_idx.append(ident)
-        last = rank - 1
-        if width >= 2:
-            iv = self._fresh("iv")
-            lane = self._fresh("lane")
-            self.emit(f"int64_t {iv} = 0;")
-            self.emit(f"for (; {iv} + {width} <= {exts[last]}; {iv} += {width}) {{")
-            self.depth += 1
-            self.emit("#pragma GCC ivdep")
-            self.emit(f"for (int64_t {lane} = 0; {lane} < {width}; ++{lane}) {{")
-            self.depth += 1
-            inner = self._temp("int64_t", f"{iv} + {lane}")
-            body(outer_idx + [inner])
-            self.depth -= 1
-            self.emit("}")
-            self.depth -= 1
-            self.emit("}")
-            tail = self._fresh("tail")
-            self.emit(f"for (int64_t {tail} = {iv}; {tail} < {exts[last]}; ++{tail}) {{")
-            self.depth += 1
-            body(outer_idx + [tail])
-            self.depth -= 1
-            self.emit("}")
-        else:
-            ident = self._fresh(f"i{last}")
-            self.emit(f"for (int64_t {ident} = 0; {ident} < {exts[last]}; ++{ident}) {{")
-            self.depth += 1
-            body(outer_idx + [ident])
-            self.depth -= 1
-            self.emit("}")
-        for _ in range(rank - 1):
-            self.depth -= 1
-            self.emit("}")
-        self.local_params = saved_locals
+        # (mirrors base._exec_store); the kernel binds them as store-locals.
+        values = [self._temp("int64_t", self._scalar(v))
+                  for v in (*stmt.param_exprs.values(), *stmt.offset,
+                            *stmt.extent, *stmt.eval_origin)]
+        kernel = _KernelEmitter(self)
+        kernel.store(stmt, [self._range(v) for v in stmt.param_exprs.values()],
+                     [self._range(v) for v in stmt.eval_origin])
+        self._call_kernel(kernel, values)
         self.depth -= 1
         self.emit("}")
-        self.depth -= 1
-        self.emit("}")
-
-    # --------------------------------------------------------- ReduceLoop
 
     def _reduce(self, stmt: ReduceLoop) -> None:
-        func = stmt.func
-        if func.reduction is None:
-            raise CGenError(f"reduce loop over {func.name!r} without a reduction")
-        rdom, index_exprs, update = func.reduction
-        increment = _strip_self_reference(update, func.name)
-        check_exprs = list(index_exprs) + [increment if increment is not None else update]
-        for e in check_exprs:
-            for node in e.walk():
-                if isinstance(node, BufferAccess) and node.buffer == func.name:
-                    raise CGenError(
-                        f"reduction over {func.name!r} reads its own accumulator; "
-                        "sequential C execution would diverge from np.add.at")
-        n = len(stmt.source_extent)
-        self.emit(f"{{ /* reduce {stmt.label or func.name} */")
+        self.emit(f"{{ /* reduce {stmt.label or stmt.func.name} */")
         self.depth += 1
-        orgs = [self._temp("int64_t", self._scalar(v)) for v in stmt.source_origin]
-        exts = [self._temp("int64_t", self._scalar(v)) for v in stmt.source_extent]
-        guard = " && ".join(f"{e} > 0" for e in exts)
-        self.emit(f"if ({guard}) {{")
-        self.depth += 1
-        full = self._view(stmt.buffer)
-        if stmt.target_index is not None:
-            ti = self._temp("int64_t", self._scalar(stmt.target_index))
-            base = self._temp(
-                "int64_t",
-                (f"{full.base} + " if full.base != "0" else "") +
-                f"{ti} * {full.strides[0]}")
-            slab = _BufView(ptr=full.ptr, ctype=full.ctype, dtype=full.dtype,
-                            dims=list(full.dims[1:]),
-                            strides=list(full.strides[1:]), base=base)
-        else:
-            slab = full
-        rvars = rdom.vars()
-        if len(rvars) != n:
-            raise CGenError("reduction domain rank mismatch")
-        if len(index_exprs) != slab.rank:
-            raise CGenError(
-                f"reduction writes {len(index_exprs)} indices, target rank "
-                f"is {slab.rank}")
-        # loop counters run over global source coordinates
-        counters: List[str] = []
-        for a in range(n):
-            ident = self._fresh(f"c{a}")
-            end = self._temp("int64_t", f"{orgs[a]} + {exts[a]}")
-            self.emit(f"for (int64_t {ident} = {orgs[a]}; {ident} < {end}; ++{ident}) {{")
-            self.depth += 1
-            counters.append(ident)
-        scope = {}
-        for position, var in enumerate(rvars):
-            scope[var.name] = counters[n - 1 - position]
-        saved_scope = self.value_scope
-        self.value_scope = scope
-        # np_index = reversed(indices): index_exprs[p] addresses target
-        # numpy axis rank-1-p, with negative wrap then a bounds check
-        # (np.add.at raises IndexError; we return rc 2).
-        terms = [slab.base] if slab.base != "0" else []
-        for position, index in enumerate(index_exprs):
-            axis = slab.rank - 1 - position
-            val, kind = self._expr(index)
-            idx = self._temp("int64_t", self._as_i64(val, kind))
-            wrapped = self._temp(
-                "int64_t", f"{idx} + (({idx} >> 63) & {slab.dims[axis]})")
-            self.emit(f"if ({wrapped} < 0 || {wrapped} >= {slab.dims[axis]}) "
-                      "{ return 2; }")
-            terms.append(f"{wrapped} * {slab.strides[axis]}")
-        flat = self._temp("int64_t", " + ".join(terms) if terms else "0")
-        sto = slab.ctype
-        if increment is not None:
-            # np.add.at: cast the increment to the accumulator dtype first,
-            # then accumulate with accumulator-dtype wraparound.
-            val, kind = self._expr(increment)
-            inc = self._temp(sto, f"({sto})({self._as_i64(val, kind) if func.dtype.is_integer else val})")
-            if func.dtype.is_float:
-                self.emit(f"{slab.ptr}[{flat}] = {slab.ptr}[{flat}] + {inc};")
-            elif func.dtype.bits == 64:
-                self.emit(f"{slab.ptr}[{flat}] = ({sto})((uint64_t){slab.ptr}[{flat}] "
-                          f"+ (uint64_t){inc});")
-            else:
-                # widen to int64 for the add to dodge narrow signed-overflow
-                # UB; the cast back wraps exactly like the NumPy accumulator.
-                self.emit(f"{slab.ptr}[{flat}] = ({sto})((int64_t){slab.ptr}[{flat}] "
-                          f"+ (int64_t){inc});")
-        else:
-            val, kind = self._expr(update)
-            wrapped, _ = self._wrap_cast(val, kind, func.dtype)
-            self.emit(f"{slab.ptr}[{flat}] = ({sto})({wrapped});")
-        self.value_scope = saved_scope
-        for _ in range(n):
-            self.depth -= 1
-            self.emit("}")
+        # target index first, like base._exec_reduce
+        scalars = [] if stmt.target_index is None else [stmt.target_index]
+        values = [self._temp("int64_t", self._scalar(v))
+                  for v in (*scalars, *stmt.source_origin,
+                            *stmt.source_extent)]
+        kernel = _KernelEmitter(self)
+        kernel.reduce(stmt, [self._range(v) for v in stmt.source_origin])
+        self._call_kernel(kernel, values)
         self.depth -= 1
         self.emit("}")
-        self.depth -= 1
-        self.emit("}")
+
+    def _call_kernel(self, kernel: "_KernelEmitter", values: List[str]) -> None:
+        """Call ``kernel`` (interned by its text) with this segment's views."""
+        name = self.kernels.intern(*kernel.finish())
+        args: List[str] = []
+        for buffer in kernel.buf_order:
+            view = self._view(buffer)
+            args.append(view.ptr)
+            args.extend(view.dims)
+        args.extend(values)
+        for names in (kernel.iparam_order, kernel.fparam_order):
+            args.extend(self._param(kernel.param_exprs[n])[0] for n in names)
+        rc = self._temp("int64_t", f"{name}({', '.join(args)})")
+        self.emit(f"if ({rc} != 0) {{ return {rc}; }}")
 
     # --------------------------------------------------------- AccumMerge
 
@@ -809,10 +790,7 @@ class _SegmentEmitter:
             raise CGenError(
                 f"merge source rank {sview.rank} != target rank {tview.rank} + 1")
         idx = self._temp("int64_t", self._scalar(stmt.index))
-        sbase = self._temp(
-            "int64_t",
-            (f"{sview.base} + " if sview.base != "0" else "") +
-            f"{idx} * {sview.strides[0]}")
+        sbase = self._temp("int64_t", f"{idx} * {sview.strides[0]}")
         elems = tview.dims[0] if tview.rank else "1"
         for d in tview.dims[1:]:
             elems = self._temp("int64_t", f"{elems} * {d}")
@@ -821,8 +799,7 @@ class _SegmentEmitter:
         self.depth += 1
         # slab.astype(target.dtype) then in-place add with target wraparound
         src = self._temp(tview.ctype, f"({tview.ctype}){sview.ptr}[{sbase} + {i}]")
-        tb = f"{tview.base} + " if tview.base != "0" else ""
-        dst = f"{tview.ptr}[{tb}{i}]"
+        dst = f"{tview.ptr}[{i}]"
         if tview.dtype.is_float:
             self.emit(f"{dst} = {dst} + {src};")
         elif tview.dtype.bits == 64:
@@ -859,10 +836,9 @@ class _SegmentEmitter:
                     self.emit(f"for (int64_t {ident} = 0; {ident} < {view.dims[a]}; "
                               f"++{ident}) {{")
                 self.depth += 1
-            base = [view.base] if view.base != "0" else []
-            dst_terms = base + [f"{idents[a]} * {view.strides[a]}" for a in range(rank)]
+            dst_terms = [f"{idents[a]} * {view.strides[a]}" for a in range(rank)]
             src_terms = list(dst_terms)
-            src_terms[len(base) + axis] = src_term
+            src_terms[axis] = src_term
             dst = self._temp("int64_t", " + ".join(dst_terms))
             src = self._temp("int64_t", " + ".join(src_terms))
             self.emit(f"{view.ptr}[{dst}] = {view.ptr}[{src}];")
@@ -914,10 +890,7 @@ class _SegmentEmitter:
             for a in range(view.rank):
                 preamble.append(
                     f"    const int64_t b{slot}_d{a} = shapes[{offset + a}];")
-            acc = "1"
-            for a in range(view.rank - 1, -1, -1):
-                preamble.append(f"    const int64_t b{slot}_s{a} = {acc};")
-                acc = f"b{slot}_s{a} * b{slot}_d{a}"
+            preamble.extend(_stride_lines(view))
             offset += view.rank
         for name in self.env_order:
             ident = self.env_slots[name]
@@ -945,6 +918,274 @@ class _SegmentEmitter:
             param_defaults=dict(self.param_defaults),
         )
         return text, spec
+
+    def serial_loop(self, stmt: For, body: SegmentSpec) -> None:
+        """A parallel ``For``'s serial variant: call ``body`` per iteration.
+
+        The body segment's buffer and parameter slots are claimed first, in
+        its order, so ``bufs``/``shapes``/``iparams``/``fparams`` pass
+        straight through; only its ``env`` is rebuilt per iteration.
+        """
+        for buffer in body.buffers:
+            self._view(buffer)
+        for names, kind in ((body.int_params, "int"),
+                            (body.float_params, "float")):
+            for name in names:
+                self._param_slot(name, kind, body.param_defaults.get(name))
+        self.emit("{")
+        self.depth += 1
+        mn = self._temp("int64_t", self._scalar(stmt.min))
+        ext = self._temp("int64_t", self._scalar(stmt.extent))
+        end = self._temp("int64_t", f"{mn} + {ext}")
+        ident = self._fresh(f"v_{stmt.name}")
+        env_values = [ident if name == stmt.name else self._env_var(name)
+                      for name in body.env_vars]
+        sub_env = "NULL"
+        if env_values:
+            sub_env = self._fresh("sub_env")
+            self.emit(f"int64_t {sub_env}[{len(env_values)}];")
+        self.emit(f"for (int64_t {ident} = {mn}; {ident} < {end}; ++{ident}) {{")
+        self.depth += 1
+        for index, value in enumerate(env_values):
+            self.emit(f"{sub_env}[{index}] = {value};")
+        rc = self._temp("int64_t", f"{body.name}(bufs, shapes, {sub_env}, "
+                                   "iparams, fparams)")
+        self.emit(f"if ({rc} != 0) {{ return {rc}; }}")
+        self.depth -= 1
+        self.emit("}")
+        self.depth -= 1
+        self.emit("}")
+
+
+class _KernelEmitter(_Emitter):
+    """Emits one ``Store`` / ``ReduceLoop`` region loop as a kernel function.
+
+    Everything the loop reads arrives as an argument: each buffer view as
+    its data pointer plus extents (in first-use order, the target first),
+    the region scalars in the caller's evaluation order, then the pipeline
+    parameters.  Names are local to the kernel, so two call sites of the
+    same Func produce identical text and share one definition.
+    """
+
+    def __init__(self, caller: _SegmentEmitter):
+        super().__init__(caller.param_kinds)
+        self.caller = caller
+        self.scalar_args: List[str] = []
+        #: pipeline parameter name -> the Param node the caller evaluates
+        self.param_exprs: Dict[str, Param] = {}
+
+    def _view(self, buffer: str) -> _BufView:
+        view = self.bufs.get(buffer)
+        if view is not None:
+            return view
+        outer = self.caller._view(buffer)
+        return self._add_view(buffer, outer.dtype, outer.rank)
+
+    def _env_var(self, name: str) -> str:
+        raise CGenError(f"unbound variable {name!r} in kernel")
+
+    def _param(self, expr: Param) -> Tuple[str, str]:
+        if expr.name not in self.local_params:
+            self.param_exprs.setdefault(expr.name, expr)
+        return super()._param(expr)
+
+    def _args(self, prefix: str, count: int) -> List[str]:
+        names = [f"{prefix}{index}" for index in range(count)]
+        self.scalar_args.extend(names)
+        self._used_names.update(names)
+        return names
+
+    def store(self, stmt: Store, local_ranges: List[_Range],
+              origin_ranges: List[_Range]) -> None:
+        """The region loop of ``stmt``; arguments mirror ``_SegmentEmitter._store``.
+
+        The caller's bounds on the store-local params and the eval origin
+        specialize the kernel: a load index known to be non-negative skips
+        the negative wrap, which keeps the access affine (vectorizable).
+        """
+        func = stmt.func
+        if func.value is None:
+            raise CGenError(f"store of {func.name!r} has no pure definition")
+        rank = len(stmt.extent)
+        if rank == 0:
+            raise CGenError("rank-0 store")
+        view = self._view(stmt.buffer)
+        if view.rank != rank:
+            raise CGenError(
+                f"store extent rank {rank} != buffer rank {view.rank} "
+                f"for {stmt.buffer!r}")
+        if len(func.variables) != rank:
+            raise CGenError(
+                f"func {func.name!r} has {len(func.variables)} variables, "
+                f"store region rank is {rank}")
+        self.local_params = dict(zip(stmt.param_exprs,
+                                     self._args("lp", len(stmt.param_exprs))))
+        self.param_ranges = dict(zip(stmt.param_exprs, local_ranges))
+        offs = self._args("off", rank)
+        exts = self._args("ext", rank)
+        orgs = self._args("org", rank)
+        guard = " && ".join(f"{e} > 0" for e in exts)
+        self.emit(f"if (!({guard})) {{ return 0; }}")
+        # coordinate = origin + a non-negative loop index
+        self.var_ranges = {
+            var.name: (origin_ranges[rank - 1 - position][0], None)
+            for position, var in enumerate(func.variables)}
+        width = vectorize_width(func.schedule)
+
+        def body(loop_idx: List[str]) -> None:
+            coords = [self._temp("int64_t", f"{orgs[a]} + {loop_idx[a]}")
+                      for a in range(rank)]
+            self.value_scope = {
+                var.name: coords[rank - 1 - position]
+                for position, var in enumerate(func.variables)}
+            val, kind = self._expr(func.value)
+            wrapped, _ = self._wrap_cast(val, kind, func.dtype)
+            self.value_scope = None
+            terms = [f"({offs[a]} + {loop_idx[a]}) * {view.strides[a]}"
+                     for a in range(rank)]
+            flat = self._temp("int64_t", " + ".join(terms))
+            self.emit(f"{view.ptr}[{flat}] = ({view.ctype})({wrapped});")
+
+        # serial loops over the outer axes, SIMD split on the innermost
+        outer_idx: List[str] = []
+        for a in range(rank - 1):
+            ident = self._fresh(f"i{a}")
+            self.emit(f"for (int64_t {ident} = 0; {ident} < {exts[a]}; ++{ident}) {{")
+            self.depth += 1
+            outer_idx.append(ident)
+        last = rank - 1
+        if width >= 2:
+            iv = self._fresh("iv")
+            lane = self._fresh("lane")
+            self.emit(f"int64_t {iv} = 0;")
+            self.emit(f"for (; {iv} + {width} <= {exts[last]}; {iv} += {width}) {{")
+            self.depth += 1
+            self.emit("#pragma GCC ivdep")
+            self.emit(f"for (int64_t {lane} = 0; {lane} < {width}; ++{lane}) {{")
+            self.depth += 1
+            inner = self._temp("int64_t", f"{iv} + {lane}")
+            body(outer_idx + [inner])
+            self.depth -= 1
+            self.emit("}")
+            self.depth -= 1
+            self.emit("}")
+            tail = self._fresh("tail")
+            self.emit(f"for (int64_t {tail} = {iv}; {tail} < {exts[last]}; ++{tail}) {{")
+            self.depth += 1
+            body(outer_idx + [tail])
+            self.depth -= 1
+            self.emit("}")
+        else:
+            ident = self._fresh(f"i{last}")
+            self.emit(f"for (int64_t {ident} = 0; {ident} < {exts[last]}; ++{ident}) {{")
+            self.depth += 1
+            body(outer_idx + [ident])
+            self.depth -= 1
+            self.emit("}")
+        for _ in range(rank - 1):
+            self.depth -= 1
+            self.emit("}")
+
+    def reduce(self, stmt: ReduceLoop, origin_ranges: List[_Range]) -> None:
+        """The update sweep of ``stmt``; arguments mirror ``_SegmentEmitter._reduce``."""
+        func = stmt.func
+        if func.reduction is None:
+            raise CGenError(f"reduce loop over {func.name!r} without a reduction")
+        rdom, index_exprs, update = func.reduction
+        increment = _strip_self_reference(update, func.name)
+        check_exprs = list(index_exprs) + [increment if increment is not None else update]
+        for e in check_exprs:
+            for node in e.walk():
+                if isinstance(node, BufferAccess) and node.buffer == func.name:
+                    raise CGenError(
+                        f"reduction over {func.name!r} reads its own accumulator; "
+                        "sequential C execution would diverge from np.add.at")
+        n = len(stmt.source_extent)
+        full = self._view(stmt.buffer)
+        ti = self._args("ti", 1)[0] if stmt.target_index is not None else None
+        orgs = self._args("org", n)
+        exts = self._args("ext", n)
+        guard = " && ".join(f"{e} > 0" for e in exts)
+        self.emit(f"if (!({guard})) {{ return 0; }}")
+        # the target slab: full[ti] for a partial accumulator, else full
+        terms: List[str] = []
+        slab = full
+        if ti is not None:
+            terms.append(self._temp("int64_t", f"{ti} * {full.strides[0]}"))
+            slab = _BufView(ptr=full.ptr, ctype=full.ctype, dtype=full.dtype,
+                            dims=list(full.dims[1:]),
+                            strides=list(full.strides[1:]))
+        rvars = rdom.vars()
+        if len(rvars) != n:
+            raise CGenError("reduction domain rank mismatch")
+        if len(index_exprs) != slab.rank:
+            raise CGenError(
+                f"reduction writes {len(index_exprs)} indices, target rank "
+                f"is {slab.rank}")
+        # loop counters run over global source coordinates
+        counters: List[str] = []
+        for a in range(n):
+            ident = self._fresh(f"c{a}")
+            end = self._temp("int64_t", f"{orgs[a]} + {exts[a]}")
+            self.emit(f"for (int64_t {ident} = {orgs[a]}; {ident} < {end}; ++{ident}) {{")
+            self.depth += 1
+            counters.append(ident)
+        self.value_scope = {var.name: counters[n - 1 - position]
+                            for position, var in enumerate(rvars)}
+        self.var_ranges = {var.name: (origin_ranges[n - 1 - position][0], None)
+                           for position, var in enumerate(rvars)}
+        # np_index = reversed(indices): index_exprs[p] addresses target
+        # numpy axis rank-1-p, with negative wrap then a bounds check
+        # (np.add.at raises IndexError; we return rc 2).
+        for position, index in enumerate(index_exprs):
+            axis = slab.rank - 1 - position
+            val, kind = self._expr(index)
+            idx = self._temp("int64_t", self._as_i64(val, kind))
+            wrapped = self._temp(
+                "int64_t", f"{idx} + (({idx} >> 63) & {slab.dims[axis]})")
+            self.emit(f"if ({wrapped} < 0 || {wrapped} >= {slab.dims[axis]}) "
+                      "{ return 2; }")
+            terms.append(f"{wrapped} * {slab.strides[axis]}")
+        flat = self._temp("int64_t", " + ".join(terms) if terms else "0")
+        sto = slab.ctype
+        if increment is not None:
+            # np.add.at: cast the increment to the accumulator dtype first,
+            # then accumulate with accumulator-dtype wraparound.
+            val, kind = self._expr(increment)
+            inc = self._temp(sto, f"({sto})({self._as_i64(val, kind) if func.dtype.is_integer else val})")
+            if func.dtype.is_float:
+                self.emit(f"{slab.ptr}[{flat}] = {slab.ptr}[{flat}] + {inc};")
+            elif func.dtype.bits == 64:
+                self.emit(f"{slab.ptr}[{flat}] = ({sto})((uint64_t){slab.ptr}[{flat}] "
+                          f"+ (uint64_t){inc});")
+            else:
+                # widen to int64 for the add to dodge narrow signed-overflow
+                # UB; the cast back wraps exactly like the NumPy accumulator.
+                self.emit(f"{slab.ptr}[{flat}] = ({sto})((int64_t){slab.ptr}[{flat}] "
+                          f"+ (int64_t){inc});")
+        else:
+            val, kind = self._expr(update)
+            wrapped, _ = self._wrap_cast(val, kind, func.dtype)
+            self.emit(f"{slab.ptr}[{flat}] = ({sto})({wrapped});")
+        self.value_scope = None
+        for _ in range(n):
+            self.depth -= 1
+            self.emit("}")
+
+    def finish(self) -> Tuple[str, str]:
+        """``(parameter list, body)`` of the kernel; the name is the table's."""
+        params: List[str] = []
+        prologue: List[str] = []
+        for name in self.buf_order:
+            view = self.bufs[name]
+            params.append(f"{view.ctype} * restrict {view.ptr}")
+            params.extend(f"int64_t {dim}" for dim in view.dims)
+            prologue.extend(_stride_lines(view))
+        params.extend(f"int64_t {arg}" for arg in self.scalar_args)
+        params.extend(f"int64_t {self.iparam_slots[n]}" for n in self.iparam_order)
+        params.extend(f"double {self.fparam_slots[n]}" for n in self.fparam_order)
+        return ", ".join(params), "\n".join(prologue + self.lines)
+
 
 
 _PRELUDE = """\
@@ -985,11 +1226,27 @@ class _NestGenerator:
         for node in lowered.stmt.walk():
             if isinstance(node, Allocate):
                 self.registry[node.buffer] = (node.dtype, len(node.extents))
+        #: (parameter list, body) -> kernel name
+        self.kernels: Dict[Tuple[str, str], str] = {}
 
-    def _emit_segment(self, stmt: Stmt) -> SegmentSpec:
+    def intern(self, params: str, body: str) -> str:
+        """The kernel with this text, emitted on first sight."""
+        name = self.kernels.get((params, body))
+        if name is None:
+            name = f"rp_k{len(self.kernels)}"
+            self.kernels[(params, body)] = name
+            self.functions.append(
+                f"static int64_t {name}({params}) {{\n{body}\n    return 0;\n}}")
+        return name
+
+    def _emit_segment(self, stmt: Stmt,
+                      serial_body: Optional[SegmentSpec] = None) -> SegmentSpec:
         name = f"rp_seg{len(self.segments)}"
-        emitter = _SegmentEmitter(name, self.registry, self.param_kinds)
-        emitter._stmt(stmt)
+        emitter = _SegmentEmitter(name, self.registry, self.param_kinds, self)
+        if serial_body is not None:
+            emitter.serial_loop(stmt, serial_body)
+        else:
+            emitter._stmt(stmt)
         text, spec = emitter.finish()
         self.functions.append(text)
         self.segments.append(spec)
@@ -1014,14 +1271,16 @@ class _NestGenerator:
             if stmt.else_case is not None:
                 self._plan(stmt.else_case)
         elif isinstance(stmt, For):
-            if stmt.kind == "parallel":
+            if stmt.kind == "parallel" and not _contains_parallel(stmt.body):
+                # one segment per iteration; the serial fallback loops over it
+                body = self._emit_segment(stmt.body)
+                self.parallel_body[id(stmt)] = body
+                self.segment_for[id(stmt)] = self._emit_segment(stmt, body)
+            elif stmt.kind == "parallel":
                 # serial fallback: the whole loop as one segment (parallel
                 # loops inside are emitted as plain C for loops)
                 self.segment_for[id(stmt)] = self._emit_segment(stmt)
-                if not _contains_parallel(stmt.body):
-                    self.parallel_body[id(stmt)] = self._emit_segment(stmt.body)
-                else:
-                    self._plan(stmt.body)
+                self._plan(stmt.body)
             else:
                 self._plan(stmt.body)
         else:

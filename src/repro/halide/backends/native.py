@@ -19,6 +19,15 @@ Compilation is cached at three levels:
 * a per-``LoweredPipeline`` program table (weakref-evicted) so repeated
   frames skip even the source generation.
 
+Builds of distinct programs run concurrently: the module lock guards only
+the cache tables, never the ``cc`` subprocess.  A build in progress is an
+in-flight future keyed on its digest, so concurrent requests for the same
+program share one compile, and a frame whose program is already cached never
+waits behind someone else's build.  :meth:`NativeBackend.prebuild` builds a
+lowering's program ahead of its first frame (the autotuner uses it to
+compile its timed candidates side by side).  The scratch directory that
+holds the ``.so`` files is removed when the interpreter exits.
+
 Degradation, not failure: no C compiler on PATH, cffi missing, a construct
 :mod:`.cgen` cannot translate, or a (possibly injected — fault site
 ``native.compile``) compiler failure all fall back to the compiled-NumPy
@@ -28,13 +37,17 @@ path so tests can prove which one ran.
 
 from __future__ import annotations
 
+import atexit
+import functools
 import hashlib
 import os
 import shutil
 import subprocess
 import tempfile
 import threading
+import time
 import weakref
+from concurrent.futures import Future
 from typing import Mapping, Optional
 
 import numpy as np
@@ -83,6 +96,8 @@ _STATS = {
     "native_frames": 0,     # frames fully executed natively
     "segment_calls": 0,     # C segment invocations
     "no_toolchain": 0,      # degrade because no C compiler was found
+    "compile_seconds": 0.0,  # wall time inside the compiler
+    "source_bytes": 0,      # C source bytes handed to the compiler
 }
 
 
@@ -104,14 +119,22 @@ def toolchain_path() -> Optional[str]:
 
     ``REPRO_NATIVE_CC`` (then ``CC``) overrides discovery; setting either to
     a path that does not resolve *disables* the backend — which is how CI
-    proves the compilerless fallback without uninstalling gcc.
+    proves the compilerless fallback without uninstalling gcc.  The lookup
+    is memoized on the values of those variables and ``PATH``, so changing
+    any of them is seen by the next call.
     """
-    for env_var in ("REPRO_NATIVE_CC", "CC"):
-        value = os.environ.get(env_var)
+    return _find_toolchain(os.environ.get("REPRO_NATIVE_CC"),
+                           os.environ.get("CC"), os.environ.get("PATH"))
+
+
+@functools.lru_cache(maxsize=1)
+def _find_toolchain(native_cc: Optional[str], cc: Optional[str],
+                    search_path: Optional[str]) -> Optional[str]:
+    for value in (native_cc, cc):
         if value is not None:
-            return shutil.which(value) if value else None
+            return shutil.which(value, path=search_path) if value else None
     for name in ("cc", "gcc", "clang"):
-        path = shutil.which(name)
+        path = shutil.which(name, path=search_path)
         if path:
             return path
     return None
@@ -136,9 +159,12 @@ def _toolchain_fingerprint(cc: str) -> str:
 
 # -- caches ------------------------------------------------------------------
 
+#: Guards the tables below; never held across the compiler.
 _COMPILE_LOCK = threading.Lock()
 #: source digest -> (ffi, lib) open handles
 _SO_CACHE: dict = {}
+#: source digest -> Future of (ffi, lib) while its build is running
+_INFLIGHT: dict = {}
 #: source digests whose real compilation failed (never retried this process)
 _FAILED: set = set()
 #: program-table sentinel: this lowering permanently degrades
@@ -172,9 +198,18 @@ def _evict_programs(lowered_id: int) -> None:
 
 
 def _so_scratch_dir() -> str:
-    if not _SO_DIR:
-        _SO_DIR.append(tempfile.mkdtemp(prefix="repro-native-"))
-    return _SO_DIR[0]
+    with _COMPILE_LOCK:
+        if not _SO_DIR:
+            path = tempfile.mkdtemp(prefix="repro-native-")
+            atexit.register(_remove_scratch_dir, path, os.getpid())
+            _SO_DIR.append(path)
+        return _SO_DIR[0]
+
+
+def _remove_scratch_dir(path: str, pid: int) -> None:
+    # A forked child inherits the handler; only the creator removes the dir.
+    if os.getpid() == pid:
+        shutil.rmtree(path, ignore_errors=True)
 
 
 def _store_key(digest: str) -> ArtifactKey:
@@ -299,21 +334,39 @@ class NativeBackend(Backend):
             if digest in _FAILED:
                 return None
             handles = _SO_CACHE.get(digest)
-            if handles is not None:
-                _bump("so_cache_hits")
-                return _Bundle(program, handles[0], handles[1], digest)
+            building = _INFLIGHT.get(digest)
+            if handles is None and building is None:
+                _INFLIGHT[digest] = future = Future()
+        if handles is None and building is not None:
+            # Someone else is compiling this program: share their result
+            # (or their error).
+            handles = building.result()
+        if handles is not None:
+            _bump("so_cache_hits")
+            return _Bundle(program, handles[0], handles[1], digest)
+        try:
             so_path = self._materialize_so(cc, program, digest)
-            if so_path is None:
-                return None
             ffi = cffi.FFI()
             ffi.cdef(program.cdef)
-            lib = ffi.dlopen(so_path)
-            _SO_CACHE[digest] = (ffi, lib)
-        return _Bundle(program, ffi, lib, digest)
+            handles = (ffi, ffi.dlopen(so_path))
+        except BaseException as error:
+            with _COMPILE_LOCK:
+                _INFLIGHT.pop(digest, None)
+            future.set_exception(error)
+            raise
+        with _COMPILE_LOCK:
+            _SO_CACHE[digest] = handles
+            _INFLIGHT.pop(digest, None)
+        future.set_result(handles)
+        return _Bundle(program, handles[0], handles[1], digest)
 
     def _materialize_so(self, cc: str, program: NestProgram,
-                        digest: str) -> Optional[str]:
-        """Path to the shared object for ``digest``, compiling if needed."""
+                        digest: str) -> str:
+        """Path to the shared object for ``digest``, compiling if needed.
+
+        Runs without the module lock: only the one builder of ``digest``
+        gets here, and distinct digests write distinct files.
+        """
         so_path = os.path.join(_so_scratch_dir(), f"{digest}.so")
         if os.path.exists(so_path):
             return so_path
@@ -339,13 +392,17 @@ class NativeBackend(Backend):
         # -fwrapv: signed wrap is defined (belt-and-braces; cgen already
         # emits unsigned arithmetic).  -ffp-contract=off: no FMA fusion, so
         # float results match NumPy's one-op-at-a-time evaluation.
+        began = time.perf_counter()
         result = subprocess.run(
             [cc, "-O2", "-fPIC", "-shared", "-ffp-contract=off", "-fwrapv",
              "-o", so_path, src_path, "-lm"],
             capture_output=True, text=True)
+        _bump("compile_seconds", time.perf_counter() - began)
+        _bump("source_bytes", len(program.source))
         if result.returncode != 0:
             _bump("compile_failures")
-            _FAILED.add(digest)
+            with _COMPILE_LOCK:
+                _FAILED.add(digest)
             raise NativeCompileError(
                 f"{cc} failed (rc {result.returncode}): "
                 f"{result.stderr.strip()[:500]}")
@@ -357,6 +414,19 @@ class NativeBackend(Backend):
             except Exception:
                 pass
         return so_path
+
+    def prebuild(self, lowered, image: np.ndarray,
+                 params: Mapping[str, float] | None = None) -> None:
+        """Build (or fetch) the program for ``lowered`` ahead of its frames.
+
+        Only the frame's dtype and the parameter kinds matter; a lowering
+        that cannot run natively is memoized as degraded, as on a frame.
+        Safe to call from several threads at once.
+        """
+        try:
+            self._program_for(lowered, np.asarray(image), params or {})
+        except InjectedFault:
+            pass
 
     # -- execution -----------------------------------------------------------
 

@@ -224,7 +224,8 @@ class PipelineServer:
         """Apply this machine's best known schedules before compiling.
 
         Consults the persistent tuning database
-        (:mod:`repro.halide.tuningdb`) for this target + frame shape; a hit
+        (:mod:`repro.halide.tuningdb`) for this target + frame shape under
+        the server's engine (records are per backend); a hit
         replaces the target's schedules with the measured winner at zero
         timing cost.  Any miss — no record, foreign machine, corrupt blob —
         leaves the target's current schedules untouched, and a broken store
@@ -235,10 +236,10 @@ class PipelineServer:
 
             if isinstance(self.target, FuncPipeline):
                 record = warm_start_pipeline(self.target, frame_shape,
-                                             store=store)
+                                             store=store, engine=self.engine)
             else:
                 record = warm_start_func(self.target, frame_shape,
-                                         store=store)
+                                         store=store, engine=self.engine)
         except Exception:
             return False
         return record is not None

@@ -234,12 +234,14 @@ class TuningDatabase:
 # ---------------------------------------------------------------------------
 
 
-def warm_start_pipeline(pipeline, frame_shape, store=None
-                        ) -> Optional[TuningRecord]:
+def warm_start_pipeline(pipeline, frame_shape, store=None,
+                        engine: str | None = None) -> Optional[TuningRecord]:
     """Apply this machine's best known schedules to ``pipeline``, if any.
 
-    Returns the applied record, or None on a miss (no record, foreign
-    machine, corrupt blob, wrong stage count).  Schedules are applied as
+    ``engine`` selects whose records to consult, as in
+    :meth:`TuningDatabase.lookup`: a record tuned on one backend never
+    warm-starts another.  Returns the applied record, or None on a miss (no
+    record, foreign machine or backend, corrupt blob, wrong stage count).  Schedules are applied as
     fresh copies so later mutation of the pipeline never rewrites the
     record's objects.  Never raises: a broken store must degrade to live
     tuning, not break serving.
@@ -249,7 +251,8 @@ def warm_start_pipeline(pipeline, frame_shape, store=None
     record = None
     try:
         db = TuningDatabase(store)
-        record = db.lookup(pipeline_workload(pipeline, frame_shape))
+        record = db.lookup(pipeline_workload(pipeline, frame_shape),
+                           engine=engine)
     except Exception:
         record = None
     if record is None or not record.valid_for(len(pipeline.stages)):
@@ -261,14 +264,15 @@ def warm_start_pipeline(pipeline, frame_shape, store=None
     return record
 
 
-def warm_start_func(func: Func, np_shape, store=None) -> Optional[TuningRecord]:
+def warm_start_func(func: Func, np_shape, store=None,
+                    engine: str | None = None) -> Optional[TuningRecord]:
     """Single-Func analogue of :func:`warm_start_pipeline`."""
     from .autotune import tuner_stats
 
     record = None
     try:
         db = TuningDatabase(store)
-        record = db.lookup(func_workload(func, np_shape))
+        record = db.lookup(func_workload(func, np_shape), engine=engine)
     except Exception:
         record = None
     if record is None or not record.valid_for(1):

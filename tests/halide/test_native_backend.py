@@ -11,12 +11,21 @@ Three layers of evidence:
   strips and every vectorize width;
 * **caching / fallback** — the ArtifactStore ``native/`` stage serves warm
   ``.so`` bytes with zero compiler invocations, and a missing toolchain
-  degrades to the compiled backend.
+  degrades to the compiled backend;
+* **build discipline** — each distinct kernel is emitted once per unit,
+  builds of one digest are shared while distinct ones overlap (a slow
+  compiler wrapper set through ``REPRO_NATIVE_CC`` makes the overlap
+  observable), the tuner builds its timed candidates before timing any,
+  and the ``.so`` scratch directory is gone once the process exits.
 
 A golden file pins the emitted C for the blur2 compute_at nest alongside
 the existing Halide-C++ goldens in ``tests/golden/``.
 """
 
+import re
+import subprocess
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +40,7 @@ from repro.halide.backends.cgen import generate_nest
 from repro.halide.backends.native import (native_stats, reset_native_caches,
                                           toolchain_path)
 from repro.ir import (
-    BinOp, BufferAccess, Cast, Const, Op, UINT8, UINT16, UINT32,
+    BinOp, BufferAccess, Cast, Const, For, Op, Store, UINT8, UINT16, UINT32,
     Var as IRVar,
 )
 
@@ -384,6 +393,220 @@ class TestCaching:
         assert after["native_frames"] == mid["native_frames"] + 1
 
 
+def _gated_cc(tmp_path, real_cc):
+    """A compiler wrapper that logs each compile and holds it while
+    ``tmp_path/gate`` exists (``--version`` probes pass straight through)."""
+    script = tmp_path / "gated-cc"
+    script.write_text(
+        "#!/bin/sh\n"
+        'case " $* " in *" -shared "*)\n'
+        f"  echo x >> {tmp_path}/compiles\n"
+        f"  while [ -e {tmp_path}/gate ]; do sleep 0.02; done;;\n"
+        "esac\n"
+        f'exec {real_cc} "$@"\n')
+    script.chmod(0o755)
+    return script
+
+
+def _compiles_started(tmp_path):
+    log = tmp_path / "compiles"
+    return len(log.read_text().splitlines()) if log.exists() else 0
+
+
+def _wait_for(predicate, timeout=20.0):
+    import time
+
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "timed out waiting"
+        time.sleep(0.01)
+
+
+@needs_cc
+class TestBuildDiscipline:
+    @pytest.fixture
+    def gated(self, tmp_path, monkeypatch):
+        from repro.store import STORE_DIR_ENV
+
+        script = _gated_cc(tmp_path, toolchain_path())
+        monkeypatch.setenv(STORE_DIR_ENV, str(tmp_path / "store"))
+        monkeypatch.setenv("REPRO_NATIVE_CC", str(script))
+        reset_native_caches()
+        yield tmp_path
+        (tmp_path / "gate").unlink(missing_ok=True)
+        reset_native_caches()
+
+    def test_concurrent_builds_of_one_digest_compile_once(self, gated):
+        image = _frame(29)
+        oracle = _blur2_pipeline().realize(image, engine="interp")
+        pipelines = [_blur2_pipeline() for _ in range(4)]
+        outputs = [None] * len(pipelines)
+
+        def run(index):
+            outputs[index] = pipelines[index].realize(image, engine="native")
+
+        before = native_stats()
+        (gated / "gate").touch()
+        threads = [threading.Thread(target=run, args=(index,))
+                   for index in range(len(pipelines))]
+        for thread in threads:
+            thread.start()
+        _wait_for(lambda: _compiles_started(gated) == 1)
+        (gated / "gate").unlink()
+        for thread in threads:
+            thread.join(timeout=60)
+        after = native_stats()
+        assert after["compiles"] == before["compiles"] + 1
+        assert _compiles_started(gated) == 1
+        assert after["native_frames"] == before["native_frames"] + 4
+        for output in outputs:
+            np.testing.assert_array_equal(output, oracle)
+
+    def test_cached_program_runs_while_another_build_is_in_flight(
+            self, gated):
+        image = _frame(31)
+        cached = _blur2_pipeline()
+        cached.realize(image, engine="native")           # built, not gated
+        other = _blur2_pipeline()
+        other.stages[1].func.vectorize(4)                # a distinct source
+        results = {}
+        (gated / "gate").touch()
+        building = threading.Thread(target=lambda: results.update(
+            other=other.realize(image, engine="native")))
+        building.start()
+        try:
+            _wait_for(lambda: _compiles_started(gated) == 2)
+            frame = threading.Thread(target=lambda: results.update(
+                cached=cached.realize(image, engine="native")))
+            frame.start()
+            frame.join(timeout=10)
+            assert not frame.is_alive(), \
+                "a cached program's frame waited behind another build"
+            assert building.is_alive() and native_mod._INFLIGHT
+        finally:
+            (gated / "gate").unlink()
+            building.join(timeout=60)
+        oracle = _blur2_pipeline().realize(image, engine="interp")
+        np.testing.assert_array_equal(results["cached"], oracle)
+        np.testing.assert_array_equal(results["other"], oracle)
+
+    def test_stats_report_compile_seconds_and_source_bytes(self, gated):
+        image = _frame(37)
+        pipeline = _blur2_pipeline()
+        before = native_stats()
+        pipeline.realize(image, engine="native")
+        after = native_stats()
+        source = generate_nest(pipeline.lower(image.shape), UINT8, {}).source
+        assert after["compiles"] == before["compiles"] + 1
+        assert after["source_bytes"] == before["source_bytes"] + len(source)
+        assert after["compile_seconds"] > before["compile_seconds"]
+
+    def test_tuner_compiles_each_timed_digest_before_timing(
+            self, tmp_path, monkeypatch):
+        import importlib
+        from dataclasses import replace
+
+        from repro.halide import autotune_pipeline
+        from repro.store import STORE_DIR_ENV
+
+        tune_mod = importlib.import_module("repro.halide.autotune")
+        monkeypatch.setenv(STORE_DIR_ENV, str(tmp_path))
+        reset_native_caches()
+        compiles_while_timing = []
+        real_time = tune_mod._time_pipeline
+
+        def timed(*args, **kwargs):
+            before = native_stats()["compiles"]
+            seconds = real_time(*args, **kwargs)
+            compiles_while_timing.append(native_stats()["compiles"] - before)
+            return seconds
+
+        monkeypatch.setattr(tune_mod, "_time_pipeline", timed)
+
+        def fresh():
+            pipeline = FuncPipeline()
+            pipeline.add(_stencil("bx", "input_1", [(0, 1), (1, 1), (2, 1)]),
+                         input_name="input_1", pad=1, name="bx")
+            pipeline.add(_stencil("by", "bx_buf", [(1, 0), (1, 1), (1, 2)]),
+                         input_name="bx_buf", pad=1, name="by")
+            return pipeline
+
+        image = _frame(41)
+        before = native_stats()["compiles"]
+        result = autotune_pipeline(fresh(), image, iterations=8, seed=5,
+                                   engine="native")
+        compiles = native_stats()["compiles"] - before
+        sources = set()
+        for index in tune_mod._select_timed(result.ranked,
+                                            tune_mod.DEFAULT_TOP_K):
+            probe = fresh()
+            for stage, schedule in zip(probe.stages,
+                                       result.candidates[index]):
+                stage.func.schedule = replace(schedule)
+            if probe.uses_lowering():
+                sources.add(generate_nest(probe.lower(image.shape), UINT8,
+                                          {}).source)
+        assert len(compiles_while_timing) == result.evaluations
+        assert not any(compiles_while_timing)
+        assert compiles == len(sources) > 1
+
+    def test_scratch_dir_is_removed_at_exit(self, tmp_path):
+        import os
+
+        import repro
+
+        script = (
+            "import os, numpy as np\n"
+            "from repro.halide import Func, FuncPipeline, Var\n"
+            "from repro.halide.backends import native\n"
+            "from repro.ir import BinOp, BufferAccess, Cast, Const, Op, "
+            "UINT8, UINT32\n"
+            "x, y = Var('x_0'), Var('x_1')\n"
+            "f = Func('inv', [x, y], dtype=UINT8).define(Cast(UINT8, BinOp("
+            "Op.XOR, Const(255, UINT32), Cast(UINT32, BufferAccess("
+            "'input_1', [x, y], UINT8)), UINT32)))\n"
+            "p = FuncPipeline()\n"
+            "p.add(f, input_name='input_1', name='inv')\n"
+            "f.compute_root()\n"
+            "p.realize(np.zeros((8, 8), np.uint8), engine='native')\n"
+            "assert native.native_stats()['native_frames'] == 1\n"
+            "assert os.listdir(native._SO_DIR[0])\n"
+            "print(native._SO_DIR[0])\n")
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src,
+               "REPRO_STORE_DIR": str(tmp_path / "store")}
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        scratch = Path(done.stdout.strip())
+        assert scratch.name.startswith("repro-native-")
+        assert not scratch.exists()
+
+
+class TestToolchainLookup:
+    def test_memoized_on_its_environment(self, monkeypatch):
+        lookups = []
+        real_which = native_mod.shutil.which
+
+        def which(name, *args, **kwargs):
+            lookups.append(name)
+            return real_which(name, *args, **kwargs)
+
+        monkeypatch.setattr(native_mod.shutil, "which", which)
+        monkeypatch.setenv("REPRO_NATIVE_CC", "/nonexistent/compiler")
+        assert toolchain_path() is None
+        seen = len(lookups)
+        assert seen >= 1
+        assert toolchain_path() is None
+        assert len(lookups) == seen           # no re-resolution per frame
+        monkeypatch.delenv("REPRO_NATIVE_CC")
+        found = toolchain_path()              # the flip is seen at once
+        assert len(lookups) > seen
+        seen = len(lookups)
+        assert toolchain_path() == found
+        assert len(lookups) == seen
+
+
 class TestFallback:
     def test_missing_toolchain_degrades_bit_identically(self, monkeypatch):
         monkeypatch.setenv("REPRO_NATIVE_CC", "/nonexistent/compiler")
@@ -448,6 +671,86 @@ class TestVectorizeReporting:
         # True lowers to the default width: same program, same key
         assert _schedule_key(Schedule(vectorize=True)) == \
             _schedule_key(Schedule(vectorize=8))
+
+
+class TestKernelFunctions:
+    """Build cost scales with distinct kernels, not call sites."""
+
+    KERNEL_DEF = re.compile(r"^static int64_t (rp_k\d+)\((.*?)^\}",
+                            re.M | re.S)
+
+    def _function(self, source, name):
+        start = source.index(f"int64_t {name}(")
+        return source[start:source.index("\n}\n", start)]
+
+    def test_each_distinct_kernel_is_defined_once(self):
+        lowered = _blur2_pipeline().lower((96, 128))
+        program = generate_nest(lowered, UINT8, {})
+        kernels = self.KERNEL_DEF.findall(program.source)
+        names = [name for name, _ in kernels]
+        assert names == [f"rp_k{n}" for n in range(len(names))]
+        # no two definitions share a body: identical kernels were merged
+        assert len({text for _, text in kernels}) == len(kernels)
+        stores = [n for n in lowered.stmt.walk() if isinstance(n, Store)]
+        # one call per Store site (the serial variant does not copy the
+        # nest), and the producer's two border stores share one kernel
+        calls = re.findall(r"= (rp_k\d+)\(", program.source)
+        assert len(calls) == len(stores)
+        assert set(calls) == set(names)
+        assert len(names) < len(calls)
+        # the region loops live in the kernels only
+        for spec in program.segments:
+            assert "#pragma GCC ivdep" not in self._function(
+                program.source, spec.name)
+
+    def test_serial_variant_calls_the_body_segment(self):
+        lowered = _blur2_pipeline().lower((96, 128))
+        program = generate_nest(lowered, UINT8, {})
+        loops = [n for n in lowered.stmt.walk()
+                 if isinstance(n, For) and n.kind == "parallel"]
+        assert loops
+        for loop in loops:
+            serial = program.segment_for[id(loop)]
+            body = program.parallel_body[id(loop)]
+            text = self._function(program.source, serial.name)
+            assert f"= {body.name}(bufs, shapes, " in text
+            assert "rp_k" not in text
+            # the body's buffer/param slots are a prefix of the serial's,
+            # so the arrays pass straight through
+            assert serial.buffers[:len(body.buffers)] == body.buffers
+            assert serial.int_params[:len(body.int_params)] == \
+                body.int_params
+
+    def test_provably_non_negative_loads_skip_the_wrap(self):
+        source = generate_nest(_blur2_pipeline().lower((96, 128)), UINT8,
+                               {}).source
+        loads = len(re.findall(r"= b\d+\[t\d+\];", source))
+        wraps = source.count(">> 63) &")
+        assert 0 < wraps < loads
+
+    def test_index_bounds_are_conservative(self):
+        from repro.halide.backends.cgen import _value_range
+        from repro.ir import FLOAT64, Param
+
+        x = IRVar("x")
+
+        def low(expr, **var_ranges):
+            bounds = _value_range(expr, var_ranges, {"tile": (0, None)})
+            return None if bounds is None else bounds[0]
+
+        clamp = BinOp(Op.MAX, BinOp(Op.SUB, x, Const(1)), Const(0))
+        assert low(clamp) == 0                         # max(x - 1, 0)
+        assert low(BinOp(Op.SUB, x, Const(1)), x=(0, None)) == -1
+        assert low(BinOp(Op.ADD, x, Const(1)), x=(0, None)) == 1
+        assert low(BinOp(Op.ADD, x, Param("tile"))) is None
+        assert low(BinOp(Op.ADD, Param("tile"), Const(2))) == 2
+        assert low(Cast(UINT8, BinOp(Op.SUB, x, Const(9)))) == 0
+        # a float or a global parameter could be NaN or negative anywhere:
+        # they poison even max(..., 0)
+        assert low(BinOp(Op.MAX, Param("width"), Const(0))) is None
+        assert low(BinOp(Op.MAX, Cast(FLOAT64, x), Const(0))) is None
+        assert low(BinOp(Op.MAX, Const(0.5, FLOAT64), Const(0))) is None
+        assert low(BinOp(Op.MOD, x, Const(3)), x=(0, None)) is None
 
 
 class TestGoldenNest:

@@ -127,3 +127,51 @@ class TestFuncWarmStart:
             output, _seconds = server.submit(
                 shape=shape, buffers={"input_1": padded}).result()
         assert output.shape == np_shape
+
+
+class TestEngineScopedWarmStart:
+    """Records are per backend: the server's engine selects which it reads."""
+
+    def test_native_record_warm_starts_native_server_only(self, tmp_path,
+                                                          image):
+        store = ArtifactStore(tmp_path)
+        tuned = autotune_pipeline(_pipeline(), image, iterations=8, seed=3,
+                                  engine="native", store=store)
+        assert tuned.source == "search"
+
+        native = _pipeline()
+        reset_tuner_stats()
+        with PipelineServer(native, engine="native", frame_shape=image.shape,
+                            store=store) as server:
+            assert server.warm_started
+            assert tuner_stats["timed_evaluations"] == 0
+            assert [s.describe() for s in tuned.best_schedules] == \
+                [stage.func.schedule.describe() for stage in native.stages]
+            output, _seconds = server.submit(image=image).result()
+        np.testing.assert_array_equal(
+            output, _pipeline().realize(image, engine="interp"))
+
+        compiled = _pipeline()
+        before = [stage.func.schedule.describe() for stage in compiled.stages]
+        with PipelineServer(compiled, engine="compiled",
+                            frame_shape=image.shape, store=store) as server:
+            assert not server.warm_started
+        assert [stage.func.schedule.describe()
+                for stage in compiled.stages] == before
+        assert tuner_stats["warm_start_hits"] == 1
+        assert tuner_stats["warm_start_misses"] == 1
+
+    def test_func_warm_start_is_engine_scoped(self, tmp_path):
+        from repro.halide import warm_start_func
+
+        store = ArtifactStore(tmp_path)
+        padded = np.random.default_rng(1).integers(0, 256, size=(50, 66),
+                                                   dtype=np.uint8)
+        autotune(_stencil("blur1d", "input_1"), (64, 48),
+                 {"input_1": padded}, iterations=8, seed=2,
+                 engine="native", store=store)
+        np_shape = (48, 64)
+        assert warm_start_func(_stencil("blur1d", "input_1"), np_shape,
+                               store=store, engine="native") is not None
+        assert warm_start_func(_stencil("blur1d", "input_1"), np_shape,
+                               store=store, engine="compiled") is None

@@ -67,3 +67,23 @@ class TestCalibrationDegeneracy:
             baseline, fresh, ("fig8_",), 0.30,
             measured=["fig8_a", "fig8_b", "fig8_c"])
         assert failures == []            # the stale key is not compared
+
+
+class TestTrackedKeys:
+    def test_native_compile_time_is_gated(self):
+        """The committed baseline carries the native compile time and the
+        default prefixes gate it like any frame time."""
+        import json
+
+        results = json.loads((_SCRIPT.parent.parent / "BENCH_results.json")
+                             .read_text())["results"]
+        assert "fig11_native/compile_s" in results
+        baseline = {name: _entry(entry["best_seconds"])
+                    for name, entry in results.items()}
+        fresh = dict(baseline)
+        fresh["fig11_native/compile_s"] = _entry(
+            2 * baseline["fig11_native/compile_s"]["best_seconds"])
+        _rows, failures = bench_gate.compare(
+            baseline, fresh, bench_gate.DEFAULT_PREFIXES,
+            bench_gate.DEFAULT_THRESHOLD)
+        assert failures == ["fig11_native/compile_s"]
