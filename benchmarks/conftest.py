@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import platform
+import sys
 import time
 from pathlib import Path
 
@@ -18,6 +19,10 @@ import numpy as np
 import pytest
 
 from repro.apps.images import make_test_planes
+
+# The independent stage-by-stage pipeline oracle lives with the unit tests.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from stage_reference import realize_stage_by_stage  # noqa: E402,F401
 
 #: Benchmark image size (width, height).
 BENCH_WIDTH = 480

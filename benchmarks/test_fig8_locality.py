@@ -23,8 +23,8 @@ import numpy as np
 from repro.halide import FuncPipeline, Schedule
 from repro.rejuvenation import lift_photoshop_filter
 
-from conftest import LARGE_HEIGHT, LARGE_WIDTH, print_table, record_bench, \
-    time_callable
+from conftest import LARGE_HEIGHT, LARGE_WIDTH, print_table, \
+    realize_stage_by_stage, record_bench, time_callable
 
 #: compute_at tile (width x height): full-width strips keep the NumPy ops
 #: long while the working set (tile + ghost rows of one producer) fits in
@@ -131,9 +131,9 @@ def test_fig8_locality_compute_at_vs_root(bench_planes_large):
 
 
 def test_fig8_locality_interp_oracle_agreement(bench_planes_large):
-    """Both schedules stay bit-identical to the interpreter oracle."""
+    """Both schedules stay bit-identical to the stage-by-stage oracle."""
     frame = bench_planes_large["r"][:160, :240]
-    oracle = _two_stage_blur("none").realize(frame, engine="interp")
+    oracle = realize_stage_by_stage(_two_stage_blur("none"), frame)
     for mode in ("root", "at"):
         for engine in ("interp", "compiled"):
             out = _two_stage_blur(mode).realize(frame, engine=engine)

@@ -26,9 +26,9 @@ workload) and persists its winner afterwards, which is what lets
 :class:`~repro.halide.serve.PipelineServer` warm-start at zero timing cost.
 
 :func:`autotune_pipeline` extends the search to multi-stage pipelines, where
-the space also includes each producer's **compute level** — legacy inline
-fusion, ``compute_root``, or ``compute_at`` anchored in its consumer's tile
-loop — so the tuner explores the locality/recompute trade-off the lowered
+the space also includes each producer's **compute level** —
+``compute_root`` (the default lowers identically) or ``compute_at`` anchored
+in its consumer's tile loop — so the tuner explores the locality/recompute trade-off the lowered
 loop-nest IR (:mod:`repro.halide.lower`) exposes.  On the native engine it
 first lowers the timed candidates and builds their shared objects
 concurrently (at most one compiler per core), so compiles overlap each
@@ -180,12 +180,14 @@ def _schedule_key(schedule: Schedule) -> tuple:
     ``describe()`` is deliberately lossy (a ``tile_y``-only reduction strip
     reads the same as the default), so dedupe must compare fields, not
     descriptions — otherwise distinct strip heights collapse into one
-    candidate.  The vectorize flag is folded to its effective SIMD width so
-    distinct widths stay distinct while ``True`` and the explicit default
-    width (which lower to the same program) collapse.
+    candidate.  Fields that lower to the same program are folded so their
+    candidates collapse: the vectorize flag to its effective SIMD width
+    (``True`` and the explicit default width), and the ``default`` compute
+    level to ``root``.
     """
+    compute = "root" if schedule.compute == "default" else schedule.compute
     return (schedule.tile_x, schedule.tile_y, vectorize_width(schedule),
-            schedule.parallel, schedule.fuse_producers, schedule.compute,
+            schedule.parallel, schedule.fuse_producers, compute,
             schedule.compute_at)
 
 
@@ -296,8 +298,8 @@ def _sample_pipeline_schedules(pipeline, rng: random.Random) -> list[Schedule]:
     """One random per-stage schedule assignment.
 
     The output stage draws tiles/parallelism like :func:`_sample_schedule`;
-    every producer draws a compute level: ``default`` (legacy stage-by-stage
-    with pointwise inline fusion), ``root``, or — when the consumer can
+    every producer draws a compute level: ``default`` (which lowers like
+    ``root`` and dedupes with it), ``root``, or — when the consumer can
     anchor it — ``at`` the consumer's second-innermost variable.
     """
     stages = pipeline.stages
@@ -355,8 +357,6 @@ def _prebuild_native(pipeline, candidates, indices, image, params) -> None:
     lowerings = []
     for index in indices:
         _apply_schedules(pipeline, candidates[index])
-        if not pipeline.uses_lowering():
-            continue
         try:
             lowerings.append(pipeline.lower(image.shape))
         except PipelineLoweringError:

@@ -50,7 +50,7 @@ Build cost scales with the number of *distinct* kernels, not call sites:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from ...ir import (
@@ -142,9 +142,11 @@ class SegmentSpec:
     buffers: Tuple[str, ...]
     ranks: Tuple[int, ...]
     env_vars: Tuple[str, ...]
-    int_params: Tuple[str, ...]
-    float_params: Tuple[str, ...]
-    param_defaults: Dict[str, object] = field(default_factory=dict)
+    #: ``(name, default)`` per slot: a caller-supplied value applies by
+    #: name; otherwise each slot carries its own Param's default (two
+    #: stages may share a name with different defaults).
+    int_params: Tuple[Tuple[str, object], ...]
+    float_params: Tuple[Tuple[str, object], ...]
 
 
 @dataclass
@@ -294,11 +296,11 @@ class _Emitter:
         # env / param slots, first-use ordered
         self.env_slots: Dict[str, str] = {}
         self.env_order: List[str] = []
-        self.iparam_slots: Dict[str, str] = {}
-        self.iparam_order: List[str] = []
-        self.fparam_slots: Dict[str, str] = {}
-        self.fparam_order: List[str] = []
-        self.param_defaults: Dict[str, object] = {}
+        # (name, default) -> C identifier, first-use ordered
+        self.iparam_slots: Dict[tuple, str] = {}
+        self.iparam_order: List[tuple] = []
+        self.fparam_slots: Dict[tuple, str] = {}
+        self.fparam_order: List[tuple] = []
         # Store-local parameters (tile bases); scoped per Store
         self.local_params: Dict[str, str] = {}
         # restricted Var scope inside Store/ReduceLoop value expressions
@@ -363,19 +365,21 @@ class _Emitter:
         return self._param_slot(expr.name, kind, expr.value)
 
     def _param_slot(self, name: str, kind: str, default) -> Tuple[str, str]:
-        self.param_defaults.setdefault(name, default)
+        """The slot of Param ``name`` with this default (slots are keyed by
+        both, so same-named Params with different defaults stay apart)."""
+        key = (name, default)
         if kind == "float":
-            ident = self.fparam_slots.get(name)
+            ident = self.fparam_slots.get(key)
             if ident is None:
                 ident = f"fp{len(self.fparam_order)}_{_SANITIZE.sub('_', name)}"
-                self.fparam_slots[name] = ident
-                self.fparam_order.append(name)
+                self.fparam_slots[key] = ident
+                self.fparam_order.append(key)
             return ident, "f64"
-        ident = self.iparam_slots.get(name)
+        ident = self.iparam_slots.get(key)
         if ident is None:
             ident = f"ip{len(self.iparam_order)}_{_SANITIZE.sub('_', name)}"
-            self.iparam_slots[name] = ident
-            self.iparam_order.append(name)
+            self.iparam_slots[key] = ident
+            self.iparam_order.append(key)
         return ident, "i64"
 
     def _range(self, value) -> _Range:
@@ -774,8 +778,9 @@ class _SegmentEmitter(_Emitter):
             args.append(view.ptr)
             args.extend(view.dims)
         args.extend(values)
-        for names in (kernel.iparam_order, kernel.fparam_order):
-            args.extend(self._param(kernel.param_exprs[n])[0] for n in names)
+        for slots in (kernel.iparam_order, kernel.fparam_order):
+            args.extend(self._param(kernel.param_exprs[key])[0]
+                        for key in slots)
         rc = self._temp("int64_t", f"{name}({', '.join(args)})")
         self.emit(f"if ({rc} != 0) {{ return {rc}; }}")
 
@@ -896,14 +901,12 @@ class _SegmentEmitter(_Emitter):
             ident = self.env_slots[name]
             preamble.append(
                 f"    const int64_t {ident} = env[{self.env_order.index(name)}];")
-        for name in self.iparam_order:
-            ident = self.iparam_slots[name]
-            preamble.append(
-                f"    const int64_t {ident} = iparams[{self.iparam_order.index(name)}];")
-        for name in self.fparam_order:
-            ident = self.fparam_slots[name]
-            preamble.append(
-                f"    const double {ident} = fparams[{self.fparam_order.index(name)}];")
+        for index, key in enumerate(self.iparam_order):
+            preamble.append(f"    const int64_t {self.iparam_slots[key]} = "
+                            f"iparams[{index}];")
+        for index, key in enumerate(self.fparam_order):
+            preamble.append(f"    const double {self.fparam_slots[key]} = "
+                            f"fparams[{index}];")
         header = (f"int64_t {self.name}(void **bufs, const int64_t *shapes, "
                   "const int64_t *env, const int64_t *iparams, "
                   "const double *fparams) {")
@@ -915,7 +918,6 @@ class _SegmentEmitter(_Emitter):
             env_vars=tuple(self.env_order),
             int_params=tuple(self.iparam_order),
             float_params=tuple(self.fparam_order),
-            param_defaults=dict(self.param_defaults),
         )
         return text, spec
 
@@ -928,10 +930,10 @@ class _SegmentEmitter(_Emitter):
         """
         for buffer in body.buffers:
             self._view(buffer)
-        for names, kind in ((body.int_params, "int"),
+        for slots, kind in ((body.int_params, "int"),
                             (body.float_params, "float")):
-            for name in names:
-                self._param_slot(name, kind, body.param_defaults.get(name))
+            for name, default in slots:
+                self._param_slot(name, kind, default)
         self.emit("{")
         self.depth += 1
         mn = self._temp("int64_t", self._scalar(stmt.min))
@@ -971,8 +973,8 @@ class _KernelEmitter(_Emitter):
         super().__init__(caller.param_kinds)
         self.caller = caller
         self.scalar_args: List[str] = []
-        #: pipeline parameter name -> the Param node the caller evaluates
-        self.param_exprs: Dict[str, Param] = {}
+        #: pipeline parameter slot -> the Param node the caller evaluates
+        self.param_exprs: Dict[tuple, Param] = {}
 
     def _view(self, buffer: str) -> _BufView:
         view = self.bufs.get(buffer)
@@ -986,7 +988,7 @@ class _KernelEmitter(_Emitter):
 
     def _param(self, expr: Param) -> Tuple[str, str]:
         if expr.name not in self.local_params:
-            self.param_exprs.setdefault(expr.name, expr)
+            self.param_exprs.setdefault((expr.name, expr.value), expr)
         return super()._param(expr)
 
     def _args(self, prefix: str, count: int) -> List[str]:

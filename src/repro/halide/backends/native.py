@@ -57,14 +57,12 @@ try:  # pragma: no cover - exercised via the degraded path when absent
 except ImportError:  # pragma: no cover
     cffi = None
 
-from ...ir import For, Store
+from ...ir import For
 from ...ir.types import dtype_from_name
 from ...reliability.faults import InjectedFault, fault_point
 from ...store import ArtifactKey, default_store
-from ..func import vectorize_width
-from ..parallel import choose_tile_executor, record_execution, submit_task
 from ..realize import RealizationError
-from .base import Backend, _ExecState, _scalar
+from .base import Backend, _ExecState
 from .cgen import CGenError, NestProgram, SegmentSpec, generate_nest
 
 __all__ = ["NativeBackend", "NativeCompileError", "native_stats",
@@ -169,7 +167,7 @@ _INFLIGHT: dict = {}
 _FAILED: set = set()
 #: program-table sentinel: this lowering permanently degrades
 _DEGRADED = object()
-#: (id(lowered), frame dtype, widths, param kinds, cc) -> bundle | _DEGRADED
+#: (id(lowered), frame dtype, param kinds, cc) -> bundle | _DEGRADED
 _PROGRAMS: dict = {}
 _KEYS_BY_ID: dict = {}
 _SO_DIR: list = []  # lazily-created scratch dir for store-served .so files
@@ -218,15 +216,17 @@ def _store_key(digest: str) -> ArtifactKey:
 
 
 class _Bundle:
-    """One compiled nest ready to execute."""
+    """One compiled nest ready to execute (``plan``: its runner, built on
+    the first frame)."""
 
-    __slots__ = ("program", "ffi", "lib", "digest")
+    __slots__ = ("program", "ffi", "lib", "digest", "plan")
 
     def __init__(self, program: NestProgram, ffi, lib, digest: str) -> None:
         self.program = program
         self.ffi = ffi
         self.lib = lib
         self.digest = digest
+        self.plan = None
 
 
 class _NativeState(_ExecState):
@@ -271,14 +271,12 @@ class NativeBackend(Backend):
 
     def _program_key(self, lowered, frame: np.ndarray,
                      params: Mapping) -> tuple:
-        widths = tuple(
-            vectorize_width(node.func.schedule)
-            for node in lowered.stmt.walk() if isinstance(node, Store))
+        # The lowering owns its stores' schedules (vectorize widths
+        # included), so its identity covers them: no per-frame tree walk.
         kinds = tuple(sorted(
             (name, "float" if isinstance(value, float) else "int")
             for name, value in (params or {}).items()))
-        return (id(lowered), frame.dtype.name, widths, kinds,
-                toolchain_path() or "")
+        return (id(lowered), frame.dtype.name, kinds, toolchain_path() or "")
 
     def _program_for(self, lowered, frame: np.ndarray,
                      params: Mapping) -> Optional[_Bundle]:
@@ -445,6 +443,8 @@ class NativeBackend(Backend):
         if bundle is None:
             _bump("degraded")
             return self._compiled().execute(lowered, frame, params, stats)
+        if bundle.plan is None:
+            bundle.plan = self._compile(lowered.stmt, bundle.program)
         buffers: dict = {lowered.input_name: frame}
         output = np.empty(lowered.frame_shape,
                           dtype=lowered.out_dtype.to_numpy())
@@ -453,55 +453,24 @@ class NativeBackend(Backend):
                              stats=stats if stats is not None else {},
                              frame_shape=lowered.frame_shape,
                              bundle=bundle)
-        self._exec(lowered.stmt, {}, buffers, state)
+        bundle.plan({}, buffers, state)
         _bump("native_frames")
         return output
 
-    def _exec(self, stmt, env, buffers, state) -> None:
-        bundle = getattr(state, "bundle", None)
-        if bundle is None:
-            super()._exec(stmt, env, buffers, state)
-            return
-        program = bundle.program
-        if isinstance(stmt, For) and stmt.kind == "parallel" \
-                and id(stmt) in program.segment_for:
-            self._exec_parallel_for(stmt, env, buffers, state)
-            return
-        spec = program.segment_for.get(id(stmt))
-        if spec is not None:
-            self._call_segment(spec, env, buffers, state)
-            return
-        super()._exec(stmt, env, buffers, state)
-
-    def _exec_parallel_for(self, stmt, env, buffers, state) -> None:
-        bundle = state.bundle
-        start = _scalar(stmt.min, env, state.params)
-        count = _scalar(stmt.extent, env, state.params)
-        if count <= 0:
-            return
-        body_spec = bundle.program.parallel_body.get(id(stmt))
-        if body_spec is not None and \
-                choose_tile_executor(state.frame_shape, count):
-            futures = [
-                submit_task(self._call_segment, body_spec,
-                            {**env, stmt.name: start + index},
-                            buffers, state)
-                for index in range(count)]
-            for future in futures:
-                future.result()
-            record_execution(True, count)
-            state.tally("parallel_loops")
-            return
-        record_execution(False, count)
-        state.tally("serial_loops")
-        serial_spec = bundle.program.segment_for.get(id(stmt))
-        if serial_spec is not None:
-            self._call_segment(serial_spec, env, buffers, state)
-            return
-        iter_env = dict(env)
-        for index in range(count):
-            iter_env[stmt.name] = start + index
-            self._exec(stmt.body, iter_env, buffers, state)
+    def _compile(self, stmt, program=None):
+        """Subtrees the program covers run as one C segment call; a
+        parallel ``For`` keeps its fan-out decision in Python, with one
+        segment per iteration (or its serial segment for the whole loop)."""
+        spec = None if program is None else program.segment_for.get(id(stmt))
+        if spec is None:
+            return super()._compile(stmt, program)
+        whole = functools.partial(self._call_segment, spec)
+        if isinstance(stmt, For) and stmt.kind == "parallel":
+            body_spec = program.parallel_body.get(id(stmt))
+            iteration = None if body_spec is None \
+                else functools.partial(self._call_segment, body_spec)
+            return self._loop(stmt, iteration, whole)
+        return whole
 
     def _call_segment(self, spec: SegmentSpec, env: Mapping,
                       buffers: Mapping, state) -> None:
@@ -531,10 +500,11 @@ class NativeBackend(Backend):
             if value is None:
                 raise RealizationError(f"unbound loop variable {name}")
             env_vals.append(int(value))
-        iparams = [int(state.params.get(name, spec.param_defaults.get(name, 0)))
-                   for name in spec.int_params]
-        fparams = [float(state.params.get(name, spec.param_defaults.get(name, 0.0)))
-                   for name in spec.float_params]
+        iparams = [int(state.params.get(name, 0 if default is None else default))
+                   for name, default in spec.int_params]
+        fparams = [float(state.params.get(name,
+                                          0.0 if default is None else default))
+                   for name, default in spec.float_params]
         bufs_arg = ffi.new("void *[]", buf_ptrs) if buf_ptrs else ffi.NULL
         shapes_arg = ffi.new("int64_t[]", shapes) if shapes else ffi.NULL
         env_arg = ffi.new("int64_t[]", env_vals) if env_vals else ffi.NULL

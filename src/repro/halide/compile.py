@@ -29,6 +29,7 @@ always safe to use as the default engine.
 
 from __future__ import annotations
 
+import re
 import threading
 from concurrent import futures
 from dataclasses import dataclass, field
@@ -122,6 +123,43 @@ def _gather(array: np.ndarray, indices, dt) -> np.ndarray:
     return array[tuple(reversed(idx))].astype(dt)
 
 
+def _clamped_window(array: np.ndarray, limits, lo, hi, origin, extent):
+    """One edge-replicated window serving every clamped tap of a buffer.
+
+    Axis ``a`` of the window holds ``array`` at index
+    ``min(max(origin[a] + lo[a] + i, 0), limits[a])`` for ``i`` in
+    ``[0, extent[a] + hi[a] - lo[a])`` — what each ``clamp(x + c, 0, limit)``
+    tap selects, so every tap is then a plain slice of it.  In-range axes
+    are sliced; only clamped axes gather, via ``take``, which raises
+    ``IndexError`` exactly where a per-tap gather would.  Returns None when
+    the buffer's rank does not match the taps'.
+    """
+    rank = len(extent)
+    if array.ndim != rank:
+        return None
+    slices = []
+    takes = []
+    for axis in range(rank):
+        start = origin[axis] + lo[axis]
+        stop = origin[axis] + extent[axis] + hi[axis]
+        limit = limits[axis]
+        if start >= 0 and stop - 1 <= limit and stop <= array.shape[axis]:
+            slices.append(slice(start, stop))
+            continue
+        # Slice to the rows the clamped indices touch, then gather those.
+        first = min(max(start, 0), limit)
+        last = min(max(stop - 1, 0), limit)
+        slices.append(slice(first, last + 1))
+        index = np.arange(start - first, stop - first)
+        np.maximum(index, 0, out=index)
+        np.minimum(index, last - first, out=index)
+        takes.append((axis, index))
+    window = array[tuple(slices)]
+    for axis, index in takes:
+        window = window.take(index, axis=axis)
+    return window
+
+
 # ---------------------------------------------------------------------------
 # Interval analysis
 # ---------------------------------------------------------------------------
@@ -200,7 +238,12 @@ class _Entry:
     full: bool = False        # shaped exactly like the output block
     uses_left: int = 0
     alias: Optional[int] = None   # elided casts forward to their operand
+    #: A load whose assignment is emitted at its first use, so the copy
+    #: lives only as long as it is needed.
+    deferred: bool = False
 
+
+_TEMP_NAME = re.compile(r"t\d+")
 
 _INPLACE_OPS = {
     Op.ADD: "_np.add", Op.SUB: "_np.subtract", Op.MUL: "_np.multiply",
@@ -237,6 +280,8 @@ class _DomainEmitter:
         self.buffer_vars: dict[str, str] = {}
         self.grid_vars: dict[str, str] = {}
         self.windows: dict[Expr, tuple] = {}
+        self.spans: dict[tuple, tuple[list, list]] = {}
+        self.span_vars: dict[tuple, str] = {}
         if mode == "pure":
             self._classify_windows()
         self.numbering = number_subtrees(
@@ -258,6 +303,12 @@ class _DomainEmitter:
     # -- analysis -----------------------------------------------------------
 
     def _classify_windows(self) -> None:
+        """Find the shifted-window taps: ``x + c`` or ``clamp(x + c, 0, k)``.
+
+        Each maps to ``(offsets, key)`` with ``key`` = ``(buffer, limits)``
+        (``limits`` None for plain shifts) and widens that key's shared
+        window: ``self.spans[key]`` is the per-axis ``[lo, hi]`` offset span.
+        """
         var_position = {v.name: p for p, v in enumerate(self.func.variables)}
         stack = list(self.roots)
         seen = set()
@@ -272,16 +323,31 @@ class _DomainEmitter:
             if len(node.indices) != self.rank or self.rank == 0:
                 continue
             offsets = [None] * self.rank
+            limits = [None] * self.rank
             for position, index in enumerate(node.indices):
-                shift = _shift_of_index(index)
+                clamp = _clamp_of_index(index)
+                shift = _shift_of_index(index) if clamp is None else clamp[0]
                 if shift is None:
                     break
                 name, offset = shift
                 if var_position.get(name) != position:
                     break
-                offsets[self.rank - 1 - position] = offset
+                axis = self.rank - 1 - position
+                offsets[axis] = offset
+                limits[axis] = None if clamp is None else clamp[1]
             else:
-                self.windows[node] = tuple(offsets)
+                if all(limit is None for limit in limits):
+                    key = (node.buffer, None)
+                elif all(limit is not None for limit in limits):
+                    key = (node.buffer, tuple(limits))
+                else:
+                    continue
+                self.windows[node] = (tuple(offsets), key)
+                span = self.spans.setdefault(key, (list(offsets),
+                                                   list(offsets)))
+                for axis, offset in enumerate(offsets):
+                    span[0][axis] = min(span[0][axis], offset)
+                    span[1][axis] = max(span[1][axis], offset)
 
     def _analyze(self) -> None:
         reduction_vars = set()
@@ -471,18 +537,32 @@ class _DomainEmitter:
     # -- emission -----------------------------------------------------------
 
     def emit(self, indent: str) -> dict[Expr, str]:
-        """Emit assignments for every numbered node; returns root atoms."""
+        """Emit assignments for every numbered node; returns root atoms.
+
+        In pure mode a temporary is deleted right after its last use, so a
+        body holds a few arrays at a time rather than one per subtree (each
+        freed block is reused at once instead of being faulted in afresh).
+        """
         self.indent = indent
+        self.dead: list[str] = []
+        # Roots resolve after emission (elided casts alias their operand).
+        self.root_vids = {self.numbering.ids[root] for root in self.roots}
         for node in self.numbering.order:
             self._emit_node(node)
+            if self.dead:
+                self._line("del " + ", ".join(dict.fromkeys(self.dead)))
+                self.dead = []
         return {root: self._resolve(self.numbering.ids[root]).code
                 for root in self.roots}
 
+    def _final_vid(self, vid: int) -> int:
+        """The value number an elided cast chain forwards ``vid`` to."""
+        while self.entries[vid].alias is not None:
+            vid = self.entries[vid].alias
+        return vid
+
     def _resolve(self, vid: int) -> _Entry:
-        entry = self.entries[vid]
-        while entry.alias is not None:
-            entry = self.entries[entry.alias]
-        return entry
+        return self.entries[self._final_vid(vid)]
 
     def _line(self, text: str) -> None:
         self.lines.append(f"{self.indent}{text}")
@@ -501,10 +581,21 @@ class _DomainEmitter:
                 self._line(f"    raise RealizationError('no binding for buffer {name}')")
         return var
 
-    def _operand(self, child: Expr, allow_bool: bool = False) -> str:
-        vid = self.numbering.ids[child]
-        entry = self._resolve(vid)
+    def _operand(self, child: Expr, allow_bool: bool = False,
+                 keep: bool = False) -> str:
+        """The atom of ``child`` for one use; ``keep`` when the caller
+        writes the result into it (its storage lives on)."""
+        vid = self._final_vid(self.numbering.ids[child])
+        entry = self.entries[vid]
+        if entry.deferred:
+            name = f"t{vid}"
+            self._line(f"{name} = {entry.code}")
+            entry.code, entry.deferred = name, False
         entry.uses_left -= 1
+        if self.mode == "pure" and not keep and entry.uses_left == 0 \
+                and vid not in self.root_vids \
+                and _TEMP_NAME.fullmatch(entry.code):
+            self.dead.append(entry.code)
         if entry.kind == "bool" and not allow_bool:
             return f"{entry.code}.astype({self.idt_name})"
         return entry.code
@@ -624,14 +715,60 @@ class _DomainEmitter:
         array = self._buffer(node.buffer)
         as_float = node.dtype.is_float or self.kinds[vid] == "f64"
         dt = "_np.float64" if as_float else self.idt_name
-        if node in self.windows:
-            offsets = self.windows[node]
-            self._store(node, f"_win({array}, {offsets!r}, origin, extent, {dt})",
-                        owned=True, full=True)
+        window = self.windows.get(node)
+        if window is not None:
+            offsets, key = window
+            var = self._span_window(key, array)
+            load = f"{var}[{self._span_slices(key, offsets)}].astype({dt})"
+            if key[1] is None:
+                # An out-of-bounds plain window loads the tap alone.
+                load = (f"({load} if {var} is not None else _win({array}, "
+                        f"{offsets!r}, origin, extent, {dt}))")
+            # A private copy, loaded right before its first use so it does
+            # not live through the whole body.
+            self._store(node, load, owned=True, full=True, assign=False)
+            self.entries[vid].deferred = True
             return
         indices = ", ".join(self._operand(i) for i in node.indices)
         self._store(node, f"_gather({array}, ({indices},), {dt})",
                     owned=True, full=True)
+
+    def _span_window(self, key: tuple, array: str) -> str:
+        """The local holding ``key``'s shared window (emitted on first use).
+
+        Clamped windows always exist for matching ranks (a mismatch sends
+        the whole region to the interpreter); plain windows are None when
+        their span leaves the buffer, and the taps then load one by one.
+        """
+        var = self.span_vars.get(key)
+        if var is not None:
+            return var
+        var = f"_w{len(self.span_vars)}"
+        self.span_vars[key] = var
+        lo, hi = self.spans[key]
+        if key[1] is None:
+            # The view spanning every tap when it lies inside the buffer.
+            rank = len(lo)
+            inside = " and ".join(
+                f"origin[{a}] >= {-lo[a]} and origin[{a}] + extent[{a}] <= "
+                f"{array}.shape[{a}] - {hi[a]}" for a in range(rank))
+            span = ", ".join(f"origin[{a}] + {lo[a]}:origin[{a}] + extent[{a}]"
+                             f" + {hi[a]}" for a in range(rank))
+            self._line(f"{var} = {array}[{span}] if {array}.ndim == {rank} "
+                       f"and {inside} else None")
+            return var
+        self._line(f"{var} = _clamped_window({array}, {key[1]!r}, "
+                   f"{tuple(lo)!r}, {tuple(hi)!r}, origin, extent)")
+        self._line(f"if {var} is None:")
+        self._line("    return _interp_body(origin, extent, buffers, params, "
+                   "out)")
+        return var
+
+    def _span_slices(self, key: tuple, offsets: tuple) -> str:
+        lo = self.spans[key][0]
+        return ", ".join(f"{offset - lo[axis]}:{offset - lo[axis]} + "
+                         f"extent[{axis}]"
+                         for axis, offset in enumerate(offsets))
 
     def _emit_cast(self, node: Cast, vid: int) -> None:
         operand_entry = self._peek(node.a)
@@ -756,8 +893,8 @@ class _DomainEmitter:
             target_entry = b_entry
         if target_entry is None:
             return False
-        a = self._operand(node.a)
-        b = self._operand(node.b)
+        a = self._operand(node.a, keep=target_entry is a_entry)
+        b = self._operand(node.b, keep=target_entry is b_entry)
         out = a if target_entry is a_entry else b
         self._line(f"{ufunc}({a}, {b}, out={out})")
         self.entries[vid] = _Entry(code=out, kind=kind, owned=True, full=True,
@@ -780,6 +917,32 @@ def _shift_of_index(index: Expr) -> Optional[tuple[str, int]]:
         if isinstance(b, Var) and isinstance(a, Const) and isinstance(a.value, int):
             return b.name, int(a.value)
     return None
+
+
+def _const_operand(node: Expr, op: str) -> Optional[tuple[Expr, int]]:
+    """Split ``op(e, c)`` / ``op(c, e)`` with an int constant ``c``."""
+    if not isinstance(node, BinOp) or node.op != op:
+        return None
+    for expr, const in ((node.a, node.b), (node.b, node.a)):
+        if isinstance(const, Const) and isinstance(const.value, int):
+            return expr, int(const.value)
+    return None
+
+
+def _clamp_of_index(index: Expr) -> Optional[tuple[tuple[str, int], int]]:
+    """Match ``min(max(shift, 0), limit)`` (either operand order) with
+    ``shift`` a :func:`_shift_of_index` form and ``limit >= 0``; returns
+    ``((var, offset), limit)`` — the lowering's clamped border taps."""
+    outer = _const_operand(index, Op.MIN)
+    if outer is None or outer[1] < 0:
+        return None
+    inner = _const_operand(outer[0], Op.MAX)
+    if inner is None or inner[1] != 0:
+        return None
+    shift = _shift_of_index(inner[0])
+    if shift is None:
+        return None
+    return shift, outer[1]
 
 
 # ---------------------------------------------------------------------------
@@ -828,17 +991,22 @@ class CompiledKernel:
 
     def evaluate_region(self, origin: tuple[int, ...], extent: tuple[int, ...],
                         buffers: Mapping[str, np.ndarray],
-                        params: Mapping[str, float]) -> np.ndarray:
-        """Evaluate the pure body over one region (NumPy axis order)."""
+                        params: Mapping[str, float],
+                        out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Evaluate the pure body over one region (NumPy axis order).
+
+        With ``out`` (a writable view of the region's destination) the block
+        is cast straight into it and ``out`` is returned.
+        """
         if self.body is None:
             raise RealizationError(
                 "kernel has no pure region body (reduction-only Func)")
         if self.narrow_guard and any(int(o) + int(e) >= VAR_BOUND
                                      for o, e in zip(origin, extent)):
-            return realize_region_interp(self.func, origin, extent,
-                                         buffers, params)
+            return _interp_region_body(self.func)(origin, extent, buffers,
+                                                  params, out)
         return self.body(tuple(int(o) for o in origin),
-                         tuple(int(e) for e in extent), buffers, params)
+                         tuple(int(e) for e in extent), buffers, params, out)
 
     def reduce_region(self, out: np.ndarray, origin: tuple[int, ...],
                       extent: tuple[int, ...],
@@ -955,9 +1123,7 @@ def compile_func(func: Func) -> CompiledKernel:
                         _f, tuple(reversed(np_shape)), buffers, params),
                     engine="interp-fallback",
                     body=(None if func.value is None else
-                          lambda origin, extent, buffers, params, _f=func:
-                          realize_region_interp(_f, origin, extent, buffers,
-                                                params)),
+                          _interp_region_body(func)),
                     func=func)
         except BaseException as exc:       # unexpected codegen bug: unblock racers
             with _CACHE_LOCK:
@@ -984,6 +1150,19 @@ def compile_func(func: Func) -> CompiledKernel:
     return kernel
 
 
+def _interp_region_body(func: Func):
+    """The interpreter-backed ``_body`` of a Func the lowering refused."""
+
+    def body(origin, extent, buffers, params, out=None):
+        block = realize_region_interp(func, origin, extent, buffers, params)
+        if out is None:
+            return block
+        out[...] = block
+        return out
+
+    return body
+
+
 def _build_kernel(func: Func) -> CompiledKernel:
     fault_point("compile.kernel")
     rank = len(func.variables)
@@ -991,6 +1170,8 @@ def _build_kernel(func: Func) -> CompiledKernel:
         raise LoweringError("zero-dimensional function")
     namespace: dict = {
         "_np": np, "_win": _win, "_gather": _gather,
+        "_clamped_window": _clamped_window,
+        "_interp_body": _interp_region_body(func),
         "_trunc_divide": _trunc_divide, "_trunc_remainder": _trunc_remainder,
         "_wrap_cast": _wrap_cast, "RealizationError": RealizationError,
         "_run_tiles": run_tiles, "_run_reduction_strips": run_reduction_strips,
@@ -1038,7 +1219,9 @@ def _build_kernel(func: Func) -> CompiledKernel:
 
 
 def _emit_pure_body(func: Func, emitter: _DomainEmitter) -> tuple[list[str], str]:
-    lines = ["def _body(origin, extent, buffers, params):"]
+    """``_body(origin, extent, buffers, params, out=None)``: the region block,
+    returned fresh or (with ``out``) cast straight into that destination."""
+    lines = ["def _body(origin, extent, buffers, params, out=None):"]
     emitter.indent = "    "
     emitter.lines = []
     roots = emitter.emit("    ")
@@ -1047,12 +1230,19 @@ def _emit_pure_body(func: Func, emitter: _DomainEmitter) -> tuple[list[str], str
     root_vid = emitter.numbering.ids[func.value]
     root_interval = emitter.intervals[root_vid]
     root_kind = emitter.kinds[root_vid]
-    lines.append(f"    block = _np.broadcast_to(_np.asarray({root}), extent)")
     bounds = _dtype_bounds(func.dtype) if func.dtype.is_integer else None
-    if func.dtype.is_integer and root_kind in ("int", "bool") \
-            and root_interval is not None \
-            and bounds[0] <= root_interval[0] and root_interval[1] <= bounds[1]:
-        # Provably in range: skip the mask-and-sign-fix wrap entirely.
+    block = root
+    if not (func.dtype.is_integer and root_kind in ("int", "bool")
+            and root_interval is not None
+            and bounds[0] <= root_interval[0] and root_interval[1] <= bounds[1]):
+        # Not provably in range: apply the mask-and-sign-fix wrap.
+        block = f"_wrap_cast({root}, _odtype)"
+    # copyto broadcasts (and casts) straight into the destination view.
+    lines.append("    if out is not None:")
+    lines.append(f"        _np.copyto(out, {block}, casting='unsafe')")
+    lines.append("        return out")
+    lines.append(f"    block = _np.broadcast_to(_np.asarray({root}), extent)")
+    if block == root:
         lines.append("    return block.astype(_odt)")
     else:
         lines.append("    return _wrap_cast(block, _odtype).astype(_odt)")

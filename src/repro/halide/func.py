@@ -105,9 +105,9 @@ class Schedule:
     ``compute`` places the Func in a pipeline (its *materialization level*,
     consumed by :mod:`repro.halide.lower`):
 
-    * ``"default"`` — legacy stage-by-stage realization (full-frame, padded
-      inputs); eligible for pointwise ``compute_inline`` fusion via
-      :meth:`FuncPipeline.fused`.
+    * ``"default"`` — a root producer (it lowers exactly like ``"root"``)
+      that :meth:`FuncPipeline.fused` may inline into a pointwise consumer
+      (``compute_inline``).
     * ``"root"`` — explicitly materialized full-frame through the lowered
       loop-nest IR (:func:`Func.compute_root`).
     * ``"at"`` — materialized into a tile-plus-ghost-zone scratch buffer
@@ -244,11 +244,10 @@ class Func:
     def compute_root(self) -> "Func":
         """Materialize this Func full-frame through the lowered loop nest.
 
-        In a :class:`~repro.halide.pipeline.FuncPipeline`, an explicit
-        ``compute_root`` stage is realized via the lowered ``Stmt`` IR
-        (:mod:`repro.halide.lower`): one full-frame buffer, borders handled
-        by clamped ghost reads instead of input padding.  Bit-identical to
-        the legacy padded stage-by-stage path.
+        In a :class:`~repro.halide.pipeline.FuncPipeline` the stage lowers
+        to one full-frame buffer (:mod:`repro.halide.lower`), borders handled
+        by clamped ghost reads instead of input padding — like a default
+        stage, except that it states the level explicitly.
         """
         self.schedule.compute = "root"
         self.schedule.compute_at = None

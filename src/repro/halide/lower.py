@@ -1,9 +1,10 @@
 """Lowering: scheduled pipelines -> loop-nest ``Stmt`` IR with bounds inference.
 
 This is the layer a Halide-style compiler inserts between the scheduled
-front end and its backends.  :func:`lower_pipeline` takes a
-:class:`~repro.halide.pipeline.FuncPipeline` whose stages carry explicit
-compute levels (``compute_root`` / ``compute_at``) and produces a
+front end and its backends, and the only way a pipeline runs.
+:func:`lower_pipeline` takes a :class:`~repro.halide.pipeline.FuncPipeline`
+whose stages carry compute levels (``compute_root`` / ``compute_at``; a
+default-scheduled producer lowers as ``compute_root``) and produces a
 :class:`LoweredPipeline`: a :class:`~repro.ir.stmt.Stmt` tree that any
 backend (:mod:`repro.halide.backends`) can execute, plus a per-stage report
 of the scheduling decisions actually taken.
@@ -16,8 +17,8 @@ tile-plus-ghost-zone region its consumer tile reads — never the full frame.
 Borders are handled by *clamping* instead of input padding: a region that
 pokes outside the frame is clamped to the frame and the missing ghost rows
 are edge-replicated (:class:`~repro.ir.stmt.PadEdge`), which is
-bit-identical to the ``np.pad(..., mode="edge")`` the legacy stage-by-stage
-realizer applies.  Tiles whose footprint stays inside the frame take a
+bit-identical to padding each stage's input with ``np.pad(..., mode="edge")``
+and realizing it whole.  Tiles whose footprint stays inside the frame take a
 pure-shift fast path; border tiles take a clamped-index path — the
 :class:`~repro.ir.stmt.IfThenElse` split Halide calls loop partitioning.
 
@@ -37,10 +38,10 @@ What demotes to ``compute_root`` (recorded in the report): taps into the
 producer that are not axis-aligned shifted windows (no finite footprint to
 infer bounds from), ``compute_at`` requests on or into a reduction stage
 (an accumulator materializes whole, and its consumer reads whole frames),
-and anchor names that do not match the consuming stage.  What still falls
-back to the legacy stage-by-stage path (:class:`PipelineLoweringError`):
-reduction stages whose RDom does not range over the stage's own input at
-frame rank, or that pad their input.
+and anchor names that do not match the consuming stage.  What cannot lower
+at all (:class:`PipelineLoweringError`, raised from ``realize``): reduction
+stages whose RDom does not range over the stage's own input at frame rank or
+that pad their input, and stages whose rank differs from the frame's.
 """
 
 from __future__ import annotations
@@ -67,6 +68,7 @@ from ..ir import (
     ReduceLoop,
     Stmt,
     Store,
+    UINT8,
     Var as IRVar,
     canonicalize,
 )
@@ -74,8 +76,8 @@ from .func import Func, RDom, Schedule
 
 
 class PipelineLoweringError(Exception):
-    """The pipeline cannot be lowered (e.g. reduction stages); callers fall
-    back to the legacy stage-by-stage realization path."""
+    """The loop-nest IR cannot express this pipeline (e.g. a reduction over
+    a padded input), so it cannot be realized."""
 
 
 #: Default strip height for ``compute_at`` under an untiled consumer: the
@@ -235,6 +237,19 @@ def _stage_footprint(func: Func, input_name: str,
     if not any_access:
         return _Footprint(lo, hi, stencil=stencil, reads_input=False)
     return _Footprint(lo, hi, stencil=stencil)
+
+
+def _input_dtype(stage):
+    """The dtype of ``stage``'s first tap of its input buffer, or uint8."""
+    func = stage.func
+    roots = [] if func.value is None else [func.value]
+    if func.reduction is not None:
+        roots += [*func.reduction[1], func.reduction[2]]
+    for root in roots:
+        for node in root.walk():
+            if isinstance(node, BufferAccess) and node.buffer == stage.input_name:
+                return node.dtype
+    return UINT8
 
 
 def _pad_pairs(stage, rank: int) -> list[tuple[int, int]]:
@@ -461,6 +476,12 @@ class LoweredPipeline:
     frame_shape: tuple[int, ...]       # NumPy order
     out_dtype: object
     decisions: list[StageDecision] = field(default_factory=list)
+    #: The element type the first stage's taps read the frame as (uint8
+    #: when it reads none); a native program is built per frame dtype.
+    in_dtype: object = UINT8
+    #: Each backend's compiled runner for ``stmt``, built on its first
+    #: frame (the nest is immutable, so a plan can never go stale).
+    plans: dict = field(default_factory=dict, repr=False, compare=False)
 
     def describe(self) -> str:
         """Per-stage scheduling decisions plus the lowered loop nest."""
@@ -494,8 +515,7 @@ class _Lowerer:
             func = stage.func
             if func.reduction is None and func.value is None:
                 raise PipelineLoweringError(
-                    f"stage {stage.name} has no definition; the legacy "
-                    "realization path handles it")
+                    f"stage {stage.name} has no definition")
             if len(func.variables) != self.rank:
                 raise PipelineLoweringError(
                     f"stage {stage.name} rank {len(func.variables)} != frame "
@@ -683,7 +703,8 @@ class _Lowerer:
             output=contexts[-1].output_buffer,
             frame_shape=self.frame_shape,
             out_dtype=contexts[-1].func.dtype,
-            decisions=[ctx.decision for ctx in contexts])
+            decisions=[ctx.decision for ctx in contexts],
+            in_dtype=_input_dtype(contexts[0].stage))
 
     # -- group lowering ------------------------------------------------------
 
@@ -692,7 +713,7 @@ class _Lowerer:
     def _check_reduction_lowerable(self, stage, func: Func,
                                    pad_before: Sequence[int]) -> None:
         """Raise :class:`PipelineLoweringError` for reduction geometries the
-        loop-nest IR cannot express (the legacy path still realizes them)."""
+        loop-nest IR cannot express."""
         rdom = func.reduction[0]
         if rdom.source != stage.input_name:
             raise PipelineLoweringError(
@@ -1224,7 +1245,6 @@ def lower_pipeline(pipeline, frame_shape: Sequence[int]) -> LoweredPipeline:
 
     ``frame_shape`` is in NumPy (outermost-first) order.  Raises
     :class:`PipelineLoweringError` when the pipeline cannot be expressed in
-    the loop-nest IR (reduction stages); the caller falls back to the legacy
-    stage-by-stage path.
+    the loop-nest IR.
     """
     return _Lowerer(pipeline, tuple(frame_shape)).lower()

@@ -5,65 +5,23 @@ inlines each producer into its consumer (improving locality, paper section
 6.4), while the unfused variant materializes every intermediate image the way
 the original applications do.
 
-Two granularities are provided.  :class:`FusedPipeline` chains opaque
-image-to-image callables and fuses by tiling.  :class:`FuncPipeline` chains
-lifted :class:`~repro.halide.func.Func` stages symbolically: pointwise
-producers are inlined into their consumers at the IR level (Halide's
-``compute_inline``), so the fused stage compiles to one kernel that never
-materializes the intermediate image at all.
+:class:`FuncPipeline` chains lifted :class:`~repro.halide.func.Func` stages
+symbolically: pointwise producers are inlined into their consumers at the IR
+level (Halide's ``compute_inline``, :meth:`FuncPipeline.fused`), so the fused
+stage compiles to one kernel that never materializes the intermediate image
+at all.  Every pipeline realizes one way: lowered to the loop-nest ``Stmt``
+IR (:mod:`repro.halide.lower`) and run by a backend.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Callable, Mapping, Sequence
+from dataclasses import dataclass, replace
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from ..ir import BufferAccess, Cast, Expr, canonicalize, substitute
 from .func import Func, vectorize_width
-from .realize import realize
-
-
-@dataclass
-class PipelineStage:
-    """One kernel in a pipeline: a callable from image to image."""
-
-    name: str
-    apply: Callable[[np.ndarray], np.ndarray]
-
-
-@dataclass
-class FusedPipeline:
-    """A pipeline of lifted kernels that can run fused or stage-by-stage."""
-
-    stages: list[PipelineStage] = field(default_factory=list)
-
-    def add(self, name: str, apply: Callable[[np.ndarray], np.ndarray]) -> "FusedPipeline":
-        self.stages.append(PipelineStage(name, apply))
-        return self
-
-    def run_unfused(self, image: np.ndarray) -> np.ndarray:
-        """Run stage by stage, materializing every intermediate (legacy style)."""
-        current = image
-        for stage in self.stages:
-            current = np.ascontiguousarray(stage.apply(current))
-        return current
-
-    def run_fused(self, image: np.ndarray, tile_rows: int = 32) -> np.ndarray:
-        """Run the whole pipeline tile-by-tile to keep intermediates in cache."""
-        if image.shape[0] <= tile_rows:
-            return self.run_unfused(image)
-        outputs = []
-        halo = 2 * len(self.stages)
-        for start in range(0, image.shape[0], tile_rows):
-            stop = min(start + tile_rows, image.shape[0])
-            lo = max(0, start - halo)
-            hi = min(image.shape[0], stop + halo)
-            tile = image[lo:hi]
-            result = self.run_unfused(tile)
-            outputs.append(result[start - lo: start - lo + (stop - start)])
-        return np.concatenate(outputs, axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -144,17 +102,16 @@ def inline_producer(consumer: Func, consumer_input: str, producer: Func) -> Func
 
 
 class FuncPipeline:
-    """A pipeline of lifted Funcs realized stage by stage, with IR fusion.
+    """A pipeline of lifted Funcs, lowered to one loop nest, with IR fusion.
 
-    Stages carrying an explicit compute level (``func.compute_root()`` /
-    ``func.compute_at(consumer, var)``) are realized through the lowered
-    loop-nest IR (:mod:`repro.halide.lower`): bounds are inferred consumer
-    to producer, borders are clamped instead of padded, ``compute_at``
-    producers materialize into tile-plus-ghost-zone scratch buffers instead
-    of full-frame temporaries, and reduction (RDom) stages lower to an init
+    Every realization goes through the lowered loop-nest IR
+    (:mod:`repro.halide.lower`): bounds are inferred consumer to producer,
+    borders are clamped instead of padded, ``compute_at`` producers
+    materialize into tile-plus-ghost-zone scratch buffers instead of
+    full-frame temporaries, and reduction (RDom) stages lower to an init
     store plus update sweeps — with parallel partial accumulators for
-    associative accumulations.  Default-scheduled stages keep the legacy
-    padded stage-by-stage path; both are bit-identical.
+    associative accumulations.  A default-scheduled producer lowers exactly
+    like ``compute_root``.
     """
 
     def __init__(self, stages: Sequence[FuncStage] | None = None) -> None:
@@ -195,7 +152,11 @@ class FuncPipeline:
         return FuncPipeline(fused)
 
     def uses_lowering(self) -> bool:
-        """True when some stage asks for an explicit compute level."""
+        """True when some stage names an explicit compute level.
+
+        Every pipeline lowers either way; this only says whether the
+        schedule names a level (``root``/``at``) rather than the default.
+        """
         return any(stage.func.schedule.compute in ("root", "at")
                    for stage in self.stages)
 
@@ -209,6 +170,12 @@ class FuncPipeline:
         scheduled, which is what the tuning database keys records by (the
         record's payload is the schedule assignment itself).
         """
+        # The in-process memo key holds the Exprs themselves (their hashes
+        # are cached, so a per-frame lookup stays cheap); the persisted
+        # workload key spells out their structure.
+        def expr_key(expr):
+            return expr if include_schedules else expr.cached_key()
+
         parts = []
         for stage in self.stages:
             schedule = stage.func.schedule
@@ -216,12 +183,12 @@ class FuncPipeline:
             if stage.func.reduction is not None:
                 rdom, index_exprs, update = stage.func.reduction
                 reduction_key = (rdom.name, rdom.source, rdom.dimensions,
-                                 tuple(e.cached_key() for e in index_exprs),
-                                 update.cached_key())
+                                 tuple(expr_key(e) for e in index_exprs),
+                                 expr_key(update))
             part = (
                 stage.name, stage.input_name, stage.pad, stage.pad_width,
                 stage.func.name, stage.func.dtype,
-                stage.func.value.cached_key() if stage.func.value is not None
+                expr_key(stage.func.value) if stage.func.value is not None
                 else None,
                 reduction_key)
             if include_schedules:
@@ -258,67 +225,28 @@ class FuncPipeline:
         return lowered
 
     def describe(self, frame_shape: tuple[int, ...]) -> str:
-        """The real execution plan for this frame shape.
-
-        For scheduled pipelines: per-stage compute levels, inferred bounds,
-        scratch sizes and the lowered loop nest.  For default pipelines: the
-        legacy stage-by-stage plan.
-        """
-        if self.uses_lowering():
-            from .lower import PipelineLoweringError
-
-            try:
-                return self.lower(tuple(frame_shape)).describe()
-            except PipelineLoweringError as error:
-                return (f"legacy stage-by-stage realization "
-                        f"(lowering unavailable: {error})")
-        lines = ["legacy stage-by-stage realization:"]
-        for stage in self.stages:
-            lines.append(f"  {stage.name}: full-frame "
-                         f"[{stage.func.schedule.describe()}]"
-                         + (f" pad={stage.pad}" if stage.pad else ""))
-        return "\n".join(lines)
+        """The real execution plan for this frame shape: per-stage compute
+        levels, inferred bounds, scratch sizes and the lowered loop nest."""
+        return self.lower(tuple(frame_shape)).describe()
 
     def realize(self, image: np.ndarray, params: Mapping[str, float] | None = None,
                 engine: str | None = None, stats: dict | None = None) -> np.ndarray:
         """Run the pipeline on one image (NumPy outermost-first layout).
 
-        Pipelines with explicitly scheduled stages execute through the
-        lowered loop-nest IR on the selected backend (``stats``, when given,
-        collects store/allocation counters from that executor).  Otherwise
-        each stage pads its input as the app wrappers do, then realizes its
-        Func through the selected engine (compiled by default); stage
-        schedules — tiling and ``parallel`` — are honoured per stage.  For
-        many images, prefer :meth:`realize_batch`, which overlaps whole
-        requests across the worker pool.
+        The pipeline lowers over the image's shape (memoized) and executes
+        on the selected backend; ``stats``, when given, collects its
+        store/allocation counters.  Raises
+        :class:`~repro.halide.lower.PipelineLoweringError` for a pipeline
+        the loop-nest IR cannot express.  For many images, prefer
+        :meth:`realize_batch`, which overlaps whole requests across the
+        worker pool.
         """
-        if self.uses_lowering():
-            from .lower import PipelineLoweringError
+        from .backends import get_backend
+        from .realize import get_default_engine
 
-            lowered = None
-            try:
-                lowered = self.lower(np.asarray(image).shape)
-            except PipelineLoweringError:
-                pass           # unlowerable geometry: legacy path below
-            if lowered is not None:
-                from .backends import get_backend
-                from .realize import get_default_engine
-
-                choice = engine if engine is not None else get_default_engine()
-                return get_backend(choice).execute(lowered, image, params,
-                                                   stats)
-        current = image
-        for stage in self.stages:
-            if stage.pad_width is not None:
-                padded = np.pad(current, stage.pad_width, mode="edge")
-            elif stage.pad:
-                padded = np.pad(current, stage.pad, mode="edge")
-            else:
-                padded = current
-            shape = tuple(reversed(current.shape))
-            current = realize(stage.func, shape, {stage.input_name: padded},
-                              params, engine=engine)
-        return current
+        lowered = self.lower(np.asarray(image).shape)
+        choice = engine if engine is not None else get_default_engine()
+        return get_backend(choice).execute(lowered, image, params, stats)
 
     def realize_batch(self, images: Sequence[np.ndarray],
                       params: Mapping[str, float] | None = None,

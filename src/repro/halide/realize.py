@@ -127,12 +127,14 @@ def _sliced_access(expr: BufferAccess, array: np.ndarray, env: Mapping) -> np.nd
     vector loads for ``input(x+1, y)`` style accesses instead of gathers; it
     is what makes the realized kernels competitive in the benchmarks.  Applies
     when the access has the same rank as the output and index position ``p``
-    is ``x_p + c`` — i.e. a shifted window aligned with the iteration space.
+    is ``x_p + c`` — i.e. a shifted window aligned with the iteration space
+    (whose grids start at ``__origin__``).
     """
     var_position = env.get("__var_position__")
     out_shape = env.get("__out_shape__")
     if var_position is None or out_shape is None:
         return None
+    origin = env["__origin__"]
     rank = len(out_shape)
     if array.ndim != len(expr.indices) or array.ndim != rank:
         return None
@@ -145,9 +147,10 @@ def _sliced_access(expr: BufferAccess, array: np.ndarray, env: Mapping) -> np.nd
         if var_position.get(name) != position:
             return None
         extent = out_shape[axis]
-        if offset < 0 or offset + extent > array.shape[axis]:
+        start = origin[axis] + offset
+        if start < 0 or start + extent > array.shape[axis]:
             return None
-        slices[axis] = slice(offset, offset + extent)
+        slices[axis] = slice(start, start + extent)
     return array[tuple(slices)]
 
 
@@ -285,18 +288,8 @@ def realize_interp(func: Func, shape: tuple[int, ...], buffers: Mapping[str, np.
 
     np_shape = tuple(reversed(shape))
     if func.value is not None:
-        grids = np.meshgrid(*[np.arange(extent) for extent in np_shape], indexing="ij") \
-            if np_shape else []
-        env = {}
-        for position, var in enumerate(func.variables):
-            # variables are innermost-first; meshgrid axes are outermost-first.
-            env[var.name] = grids[len(np_shape) - 1 - position] if grids else np.asarray(0)
-        env["__var_position__"] = {var.name: position
-                                   for position, var in enumerate(func.variables)}
-        env["__out_shape__"] = np_shape
-        values = _evaluate(func.value, env, buffers, params)
-        output = np.broadcast_to(values, np_shape).copy()
-        output = _wrap_cast(output, func.dtype).astype(func.dtype.to_numpy())
+        output = realize_region_interp(func, (0,) * len(np_shape), np_shape,
+                                       buffers, params)
     else:
         output = np.zeros(np_shape, dtype=func.dtype.to_numpy())
 
@@ -362,10 +355,10 @@ def realize_region_interp(func: Func, origin: tuple[int, ...],
     ``origin``/``extent`` are in NumPy (outermost-first) axis order; the
     variable grids start at ``origin``, so expressions see the same
     coordinates a full-frame realization would.  This is the interpreter
-    backend's primitive for executing lowered ``Store`` nodes, and the
-    fallback the compiled backend uses when a store kernel cannot be
-    lowered.  The shifted-window fast path is deliberately not engaged —
-    values are identical either way, and the oracle stays obviously correct.
+    backend's primitive for executing lowered ``Store`` nodes, the pure
+    phase of :func:`realize_interp`, and the fallback the compiled backend
+    uses when a store kernel cannot be lowered.  In-bounds shifted-window
+    taps are slices of their buffer; anything else gathers.
     """
     if func.value is None:
         raise RealizationError(f"function {func.name} has no pure definition")
@@ -378,6 +371,10 @@ def realize_region_interp(func: Func, origin: tuple[int, ...],
     for position, var in enumerate(func.variables):
         env[var.name] = grids[len(np_shape) - 1 - position] if grids \
             else np.asarray(0)
+    env["__var_position__"] = {var.name: position
+                               for position, var in enumerate(func.variables)}
+    env["__out_shape__"] = np_shape
+    env["__origin__"] = tuple(int(o) for o in origin)
     values = _evaluate(func.value, env, buffers, params)
     output = np.broadcast_to(values, np_shape).copy()
     return _wrap_cast(output, func.dtype).astype(func.dtype.to_numpy())

@@ -249,35 +249,35 @@ class PipelineServer:
     def _warm_compile(self, frame_shape: tuple[int, ...] | None) -> None:
         """Pay codegen up front so the serving path never compiles.
 
-        A :class:`FuncPipeline` with explicitly scheduled stages executes
-        through the lowered loop-nest IR, whose store kernels depend on the
-        frame shape; pass ``frame_shape`` (NumPy order) to lower and compile
-        them here too, otherwise they compile (once) on the first request.
+        A :class:`Func` target compiles its kernel.  A :class:`FuncPipeline`
+        executes its lowered loop nest, whose kernels depend on the frame
+        shape: pass ``frame_shape`` (NumPy order) to lower it here and
+        compile its store and reduction kernels — and, on the native engine,
+        its shared object for the frame dtype the lowering records
+        (``in_dtype``) and no parameters — otherwise that happens (once) on
+        the first request.  A frame of another dtype, or a request whose
+        parameters change the program's slot kinds, builds on first use.
         """
         engine = self.engine if self.engine is not None else get_default_engine()
         if engine == "interp":
             return
-        if frame_shape is not None and isinstance(self.target, FuncPipeline) \
-                and self.target.uses_lowering():
-            from ..ir import ReduceLoop, Store
-            from .lower import PipelineLoweringError
+        if isinstance(self.target, Func):
+            compile_func(self.target)
+            return
+        if frame_shape is None:
+            return
+        from ..ir import ReduceLoop, Store
 
-            try:
-                lowered = self.target.lower(tuple(frame_shape))
-            except PipelineLoweringError:
-                lowered = None               # legacy fallback: warm below
-            if lowered is not None:
-                # The lowered executor only runs store kernels and reduction
-                # update sweeps; the per-stage whole-Func kernels would be
-                # dead weight.
-                for node in lowered.stmt.walk():
-                    if isinstance(node, (ReduceLoop, Store)):
-                        compile_func(node.func)
-                return
-        funcs = [self.target] if isinstance(self.target, Func) \
-            else [stage.func for stage in self.target.stages]
-        for func in funcs:
-            compile_func(func)
+        lowered = self.target.lower(tuple(frame_shape))
+        for node in lowered.stmt.walk():
+            if isinstance(node, (ReduceLoop, Store)):
+                compile_func(node.func)
+        if engine == "native":
+            from .backends import get_backend
+
+            frame = np.empty(lowered.frame_shape,
+                             dtype=lowered.in_dtype.to_numpy())
+            get_backend("native").prebuild(lowered, frame)
 
     def close(self, wait: bool = False) -> None:
         """Refuse further submissions (in-flight requests still finish).

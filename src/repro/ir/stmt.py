@@ -243,10 +243,6 @@ class Store(Stmt):
     eval_origin: tuple[Scalar, ...]
     param_exprs: dict[str, Scalar] = field(default_factory=dict)
     label: str = ""
-    #: Per-backend evaluator handles, stashed by the executors so repeated
-    #: tiles skip the kernel-cache key computation (lowered trees are
-    #: immutable, so the memo can never go stale).
-    cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def _lines(self, indent: int) -> list[str]:
         pad = "  " * indent
@@ -283,8 +279,6 @@ class ReduceLoop(Stmt):
     associative: bool = False
     target_index: Optional[Scalar] = None
     label: str = ""
-    #: Per-backend evaluator handles (see :class:`Store`).
-    cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def _lines(self, indent: int) -> list[str]:
         pad = "  " * indent

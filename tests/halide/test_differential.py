@@ -4,9 +4,9 @@ Random expression trees (hypothesis) and every lifted application kernel are
 realized through both engines and must agree bit-for-bit, including tiled
 schedules and reduction funcs — the property the compiled backend is built
 around.  Random multi-stage pipelines additionally draw a compute level per
-producer (legacy inline, compute_root, compute_at), so the lowered loop-nest
+producer (default, compute_root, compute_at), so the lowered loop-nest
 IR — bounds inference, scratch buffers, clamped ghost zones, loop
-partitioning — is pinned against the same oracle.
+partitioning — is pinned against an independent stage-by-stage reference.
 """
 
 import numpy as np
@@ -18,6 +18,8 @@ from repro.ir import (
     BinOp, BufferAccess, Call, Cast, Const, Op, Param, Select, Var as IRVar,
     FLOAT64, INT32, UINT8, UINT16, UINT32,
 )
+
+from stage_reference import realize_stage_by_stage
 
 WIDTH, HEIGHT = 17, 13
 
@@ -121,10 +123,10 @@ class TestReductionDifferential:
 class TestPipelineDifferential:
     """Random multi-stage pipelines with random compute levels.
 
-    The oracle is the legacy padded stage-by-stage interpreter path; every
-    drawn schedule assignment (inline/root/at per producer, tiles on the
-    output) must realize bit-identically through the lowered loop-nest IR on
-    *both* backends.
+    The oracle is the padded stage-by-stage interpreter reference
+    (``stage_reference``); every drawn schedule assignment (default/root/at
+    per producer, tiles on the output) must realize bit-identically through
+    the lowered loop-nest IR on both NumPy backends.
     """
 
     STAGE_KINDS = ("pointwise", "coord", "stencil_x", "stencil_y", "cross")
@@ -196,7 +198,7 @@ class TestPipelineDifferential:
         image = np.random.default_rng(seed).integers(
             0, 256, size=(HEIGHT, WIDTH), dtype=np.uint8)
 
-        oracle = self._build(kinds).realize(image, engine="interp")
+        oracle = realize_stage_by_stage(self._build(kinds), image)
         scheduled = self._build(kinds, levels=levels, tile=tile)
         assert scheduled.uses_lowering()
         for engine in ("interp", "compiled"):
@@ -208,7 +210,7 @@ class TestPipelineDifferential:
         image = np.random.default_rng(11).integers(
             0, 256, size=(HEIGHT, WIDTH), dtype=np.uint8)
         kinds = ("stencil_x", "coord", "stencil_y")
-        oracle = self._build(kinds).realize(image, engine="interp")
+        oracle = realize_stage_by_stage(self._build(kinds), image)
         scheduled = self._build(kinds, levels=("at", "at"), tile=(16, 8))
         for engine in ("interp", "compiled"):
             np.testing.assert_array_equal(

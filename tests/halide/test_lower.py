@@ -1,8 +1,8 @@
 """The lowered loop-nest IR: bounds inference, compute levels, backends.
 
-Every lowered execution is compared bit-for-bit against the legacy padded
-stage-by-stage interpreter path — the oracle the compiled engine is already
-validated against — so these tests pin the lowering itself: required-region
+Every lowered execution is compared bit-for-bit against the padded
+stage-by-stage interpreter reference (``stage_reference``), which shares
+none of the lowering's machinery — so these tests pin the lowering itself: required-region
 propagation, clamped ghost zones, scratch sizing, loop partitioning and the
 backend interface.
 """
@@ -26,6 +26,7 @@ from repro.ir import (
     BufferAccess,
     Cast,
     Const,
+    FLOAT32,
     For,
     IfThenElse,
     Op,
@@ -35,6 +36,8 @@ from repro.ir import (
     UINT32,
 )
 from repro.halide.func import RDom
+
+from stage_reference import realize_stage_by_stage
 
 WIDTH, HEIGHT = 53, 37
 
@@ -80,7 +83,7 @@ def image():
 
 @pytest.fixture()
 def oracle(image):
-    return _two_stage(schedule="none").realize(image, engine="interp")
+    return realize_stage_by_stage(_two_stage(schedule="none"), image)
 
 
 class TestComputeLevels:
@@ -88,6 +91,31 @@ class TestComputeLevels:
         for engine in backend_names():
             out = _two_stage(schedule="root").realize(image, engine=engine)
             np.testing.assert_array_equal(out, oracle)
+
+    # 8x8 tiles over 53x37: every tile has 25..64 elements.
+    @pytest.mark.parametrize("limit", [64, 24])
+    def test_compiled_runs_small_border_tiles_as_one_store(
+            self, image, oracle, limit, monkeypatch):
+        # On compiled, a tile of at most ``merge_border_elems`` elements
+        # that the lowering splits into clamped border slabs plus an
+        # interior runs as one clamped store; larger tiles (and the
+        # interpreter) run the slabs.
+        from repro.halide.backends.compiled import CompiledBackend
+
+        monkeypatch.setattr(CompiledBackend, "merge_border_elems", limit)
+        pipeline = _two_stage(tile=(8, 8), schedule="root")
+        pipeline.stages[0].func.tile(8, 8)
+        counts = {}
+        for engine in ("interp", "compiled"):
+            stats = {}
+            out = pipeline.realize(image, engine=engine, stats=stats)
+            np.testing.assert_array_equal(out, oracle)
+            counts[engine] = stats["stores"]
+        if limit >= 8 * 8:
+            tiles = -(-WIDTH // 8) * -(-HEIGHT // 8)
+            assert counts["compiled"] == 2 * tiles < counts["interp"]
+        else:
+            assert counts["compiled"] == counts["interp"]
 
     @pytest.mark.parametrize("tile", [(16, 8), (8, 16), (WIDTH, 8), (64, 64)])
     def test_compute_at_matches_legacy_on_both_backends(self, image, oracle,
@@ -112,7 +140,7 @@ class TestComputeLevels:
         reference = FuncPipeline()
         for func, inp in ((s0, "input_1"), (s1, "b0"), (s2, "b1")):
             reference.add(func, input_name=inp, pad=1, name=func.name)
-        oracle = reference.realize(image, engine="interp")
+        oracle = realize_stage_by_stage(reference, image)
 
         scheduled = _rebuild_three(s0, s1, s2)
         scheduled.stages[2].func.tile(16, 8)
@@ -126,8 +154,7 @@ class TestComputeLevels:
         s0 = _stencil("s0", "input_1", [(0, 1), (1, 1), (2, 1)])
         s1 = _stencil("s1", "b0", [(1, 0), (1, 1), (1, 2)])
         s2 = _stencil("s2", "b1", [(2, 0), (0, 2)])
-        reference = _rebuild_three(s0, s1, s2)
-        oracle = reference.realize(image, engine="interp")
+        oracle = realize_stage_by_stage(_rebuild_three(s0, s1, s2), image)
         scheduled = _rebuild_three(s0, s1, s2)
         scheduled.stages[0].func.compute_root()
         scheduled.stages[2].func.tile(8, 8)
@@ -142,7 +169,7 @@ def _hist_pipeline(image, rdom_source="p_buf", pad=0):
 
     Bins pixel values modulo the frame dimensions so the output keeps the
     frame's rank/shape (what lifted in-pipeline reductions look like);
-    returns (pipeline, legacy interpreter oracle).
+    returns (pipeline, stage-by-stage reference output).
     """
     from repro.ir import Var as IRVar
 
@@ -159,9 +186,9 @@ def _hist_pipeline(image, rdom_source="p_buf", pad=0):
     pipeline = FuncPipeline()
     pipeline.add(hist_source, input_name="input_1", name="p")
     pipeline.add(hist, input_name="p_buf", pad=pad, name="hist")
-    # A mismatched RDom source has no legacy realization either (the stage
-    # binds only its own input); those callers only exercise the lowering.
-    oracle = pipeline.realize(image, engine="interp") \
+    # A mismatched RDom source has no stage-by-stage realization either (the
+    # stage binds only its own input); those callers only exercise lowering.
+    oracle = realize_stage_by_stage(pipeline, image) \
         if rdom_source == "p_buf" else None
     return pipeline, oracle
 
@@ -195,6 +222,16 @@ class TestBoundsInference:
         assert "compute_at(by, x_1)" in text
         assert "scratch 10x16" in text
 
+    def test_lowering_records_input_dtype(self, image):
+        # What a native server prebuilds its program for.
+        assert _two_stage(schedule="root").lower(image.shape).in_dtype \
+            == UINT8
+        x, y = Var("x_0"), Var("x_1")
+        scale = Func("scale", [x, y], dtype=FLOAT32).define(
+            BufferAccess("input_1", [x, y], FLOAT32))
+        pipeline = FuncPipeline().add(scale)
+        assert pipeline.lower(image.shape).in_dtype == FLOAT32
+
     def test_describe_shows_loop_nest(self, image):
         text = _two_stage(tile=(16, 8)).describe(image.shape)
         assert "for by.tile_y" in text
@@ -206,10 +243,19 @@ class TestBoundsInference:
         kinds = {type(node) for node in lowered.stmt.walk()}
         assert {For, Allocate, ProducerConsumer, IfThenElse, Store} <= kinds
 
-    def test_default_stages_keep_legacy_path(self, image):
-        pipeline = _two_stage(schedule="none")
-        assert not pipeline.uses_lowering()
-        assert "legacy stage-by-stage" in pipeline.describe(image.shape)
+    def test_default_stages_lower_as_root(self, image, oracle):
+        """A default-scheduled producer lowers exactly like compute_root:
+        the same decisions, the same loop nest, the same bits."""
+        default = _two_stage(schedule="none")
+        assert not default.uses_lowering()
+        lowered = default.lower(image.shape)
+        assert [d.level for d in lowered.decisions] == ["root", "output"]
+        root = _two_stage(schedule="root").lower(image.shape)
+        assert lowered.stmt.pretty() == root.stmt.pretty()
+        assert default.describe(image.shape) == lowered.describe()
+        for engine in backend_names():
+            np.testing.assert_array_equal(
+                default.realize(image, engine=engine), oracle)
 
 
 class TestDemotions:
@@ -235,7 +281,7 @@ class TestDemotions:
         pipeline = FuncPipeline()
         pipeline.add(producer, input_name="input_1", name="p")
         pipeline.add(consumer, input_name="p_buf", name="c")
-        oracle = pipeline.realize(image, engine="interp")
+        oracle = realize_stage_by_stage(pipeline, image)
         producer.compute_at(consumer, "x_1")
         lowered = pipeline.lower(image.shape)
         assert lowered.decisions[0].level == "root"
@@ -265,7 +311,7 @@ class TestDemotions:
             pipeline.add(consumer, input_name="p_buf", pad=1, name="c")
             return pipeline
 
-        oracle = build().realize(image, engine="interp")
+        oracle = realize_stage_by_stage(build(), image)
         producer.compute_at(consumer, "x_1")       # untiled: 1-row strips
         pipeline = build()
         lowered = pipeline.lower(image.shape)
@@ -292,7 +338,7 @@ class TestDemotions:
 
     def test_reduction_stage_lowers_first_class(self, image):
         """Reduction stages are lowered stages now: an init Store plus a
-        ReduceLoop sweep, bit-identical to the legacy path on both backends."""
+        ReduceLoop sweep, bit-identical to the reference on every backend."""
         from repro.ir import ReduceLoop
 
         pipeline, oracle = _hist_pipeline(image)
@@ -305,22 +351,30 @@ class TestDemotions:
             out = pipeline.realize(image, engine=engine)
             np.testing.assert_array_equal(out, oracle)
 
-    def test_unlowerable_reduction_falls_back_to_legacy(self, image):
+    def test_unlowerable_reduction_raises_typed_error(self, image):
         """A reduction stage that pads its input sweeps a padded RDom domain
-        the loop-nest IR cannot express; realize() falls back to the legacy
-        path instead of failing.  (An RDom over a buffer that is not the
-        stage's input is rejected the same way.)"""
-        pipeline, oracle = _hist_pipeline(image, pad=1)
+        the loop-nest IR cannot express, so realize() raises
+        PipelineLoweringError on every backend — as it does for an RDom over
+        a buffer that is not the stage's input."""
+        pipeline, _ = _hist_pipeline(image, pad=1)
         pipeline.stages[0].func.compute_root()
         with pytest.raises(PipelineLoweringError, match="padded"):
             lower_pipeline(pipeline, image.shape)
-        out = pipeline.realize(image, engine="compiled")
-        np.testing.assert_array_equal(out, oracle)
+        for engine in backend_names():
+            with pytest.raises(PipelineLoweringError, match="padded"):
+                pipeline.realize(image, engine=engine)
 
         mismatched, _ = _hist_pipeline(image, rdom_source="input_1")
-        mismatched.stages[0].func.compute_root()
         with pytest.raises(PipelineLoweringError, match="RDom ranges over"):
-            lower_pipeline(mismatched, image.shape)
+            mismatched.realize(image)
+
+    def test_stage_rank_mismatch_raises_typed_error(self, image):
+        x = Var("x_0")
+        row = Func("row", [x], dtype=UINT8).define(
+            BufferAccess("input_1", [x], UINT8))
+        pipeline = FuncPipeline().add(row, input_name="input_1", name="row")
+        with pytest.raises(PipelineLoweringError, match="rank"):
+            pipeline.realize(image)
 
     def test_compute_at_into_reduction_consumer_demotes(self, image):
         pipeline, oracle = _hist_pipeline(image)

@@ -44,6 +44,8 @@ from repro.ir import (
     Var as IRVar,
 )
 
+from stage_reference import realize_stage_by_stage
+
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "golden"
 
 WIDTH, HEIGHT = 53, 37
@@ -157,6 +159,51 @@ class TestRegistryScenarios:
         assert after["native_frames"] == before["native_frames"] + 1
         np.testing.assert_array_equal(
             native, pipeline.realize(_frame(7), engine="interp"))
+
+
+@needs_cc
+class TestDefaultPipelines:
+    """Pipelines without explicit compute levels lower too, so the native
+    engine runs them as emitted C."""
+
+    def test_default_scheduled_pipeline_runs_real_c(self):
+        pipeline = FuncPipeline()
+        pipeline.add(_stencil("bx", "input_1", [(0, 1), (1, 1), (2, 1)]),
+                     input_name="input_1", pad=1, name="bx")
+        pipeline.add(_stencil("by", "bx_buf", [(1, 0), (1, 1), (1, 2)]),
+                     input_name="bx_buf", pad=1, name="by")
+        assert not pipeline.uses_lowering()
+        image = _frame(19)
+        before = native_stats()["native_frames"]
+        out = pipeline.realize(image, engine="native")
+        assert native_stats()["native_frames"] == before + 1
+        np.testing.assert_array_equal(out,
+                                      realize_stage_by_stage(pipeline, image))
+
+    def test_irfanview_sharpen_blur_keeps_each_stages_coefficients(self):
+        """IrfanView's sharpen and blur name their coefficients alike
+        (``param_p_a004580`` ...) with different defaults (-0.15 / 2.2 vs
+        1/9): each stage must read its own, on every engine."""
+        from repro.apps.images import make_test_planes
+        from repro.rejuvenation import lift_irfanview_filter
+
+        pipeline = FuncPipeline()
+        for name in ("sharpen", "blur"):
+            lifted = lift_irfanview_filter(name)
+            kernel = lifted.kernels[0]
+            pipeline.add(lifted.funcs[kernel.output],
+                         input_name=kernel.input_names[0],
+                         pad_width=((1, 1), (1, 1), (0, 0)), name=name)
+        planes = make_test_planes(480, 320, seed=42)
+        image = np.stack([planes[c] for c in "rgb"], axis=-1)
+        before = native_stats()["native_frames"]
+        native = pipeline.realize(image, engine="native")
+        assert native_stats()["native_frames"] == before + 1
+        reference = realize_stage_by_stage(pipeline, image)
+        np.testing.assert_array_equal(native, reference)
+        for engine in ("interp", "compiled"):
+            np.testing.assert_array_equal(
+                pipeline.realize(image, engine=engine), reference)
 
 
 # ---------------------------------------------------------------------------
@@ -543,9 +590,8 @@ class TestBuildDiscipline:
             for stage, schedule in zip(probe.stages,
                                        result.candidates[index]):
                 stage.func.schedule = replace(schedule)
-            if probe.uses_lowering():
-                sources.add(generate_nest(probe.lower(image.shape), UINT8,
-                                          {}).source)
+            sources.add(generate_nest(probe.lower(image.shape), UINT8,
+                                      {}).source)
         assert len(compiles_while_timing) == result.evaluations
         assert not any(compiles_while_timing)
         assert compiles == len(sources) > 1

@@ -4,8 +4,8 @@ The contract under test: a reduction stage lowers to an init ``Store`` plus
 ``ReduceLoop`` update sweeps — two-phase (parallel partial accumulators +
 deterministic serial merge) for associative accumulations scheduled
 ``parallel``, one serialized whole-domain sweep otherwise — and every
-lowered execution is bit-identical to the legacy stage-by-stage interpreter
-oracle on *both* backends, for every schedule drawn.
+lowered execution is bit-identical to the stage-by-stage interpreter
+reference (``stage_reference``) on every backend, for every schedule drawn.
 """
 
 import numpy as np
@@ -37,6 +37,8 @@ from repro.ir import (
     UINT32,
     Var as IRVar,
 )
+
+from stage_reference import realize_stage_by_stage
 
 WIDTH, HEIGHT = 53, 37
 
@@ -165,8 +167,8 @@ class TestBitIdentity:
                                                 (64, True)])
     def test_lowered_matches_legacy_oracle(self, image, kind, dtype, strip,
                                            parallel):
-        oracle = _build(kind=kind, dtype=dtype,
-                        schedule=False).realize(image, engine="interp")
+        oracle = realize_stage_by_stage(_build(kind=kind, dtype=dtype,
+                                               schedule=False), image)
         pipeline = _build(kind=kind, dtype=dtype, strip=strip,
                           parallel=parallel)
         assert pipeline.uses_lowering()
@@ -178,8 +180,8 @@ class TestBitIdentity:
         """Partial sums must wrap exactly like the serial sweep: a uint16
         accumulator overflows within one frame of max-value pixels."""
         frame = np.full((64, 64), 255, dtype=np.uint8)
-        oracle = _build(kind="sum", dtype=UINT16,
-                        schedule=False).realize(frame, engine="interp")
+        oracle = realize_stage_by_stage(_build(kind="sum", dtype=UINT16,
+                                               schedule=False), frame)
         pipeline = _build(kind="sum", dtype=UINT16, strip=8, parallel=True)
         for engine in backend_names():
             np.testing.assert_array_equal(
@@ -212,8 +214,8 @@ class TestRandomReductionPipelines:
                                            parallel, seed):
         frame = np.random.default_rng(seed).integers(
             0, 256, size=(HEIGHT, WIDTH), dtype=np.uint8)
-        oracle = _build(kind=kind, dtype=dtype,
-                        schedule=False).realize(frame, engine="interp")
+        oracle = realize_stage_by_stage(_build(kind=kind, dtype=dtype,
+                                               schedule=False), frame)
         pipeline = _build(kind=kind, dtype=dtype, strip=strip,
                           parallel=parallel)
         for engine in backend_names():

@@ -235,6 +235,34 @@ class TestPipelineServer:
         for output, reference in zip(batch.outputs, expected):
             np.testing.assert_array_equal(output, reference)
 
+    def test_native_first_frame_does_not_compile(self, tmp_path,
+                                                 monkeypatch):
+        """With frame_shape, a native server builds its shared object at
+        construction, so the first request pays no C compiler — for a
+        default-scheduled pipeline too."""
+        from repro.halide.backends import native
+        from repro.store import STORE_DIR_ENV
+
+        if native.toolchain_path() is None or native.cffi is None:
+            pytest.skip("no C toolchain / cffi: native backend degrades")
+        monkeypatch.setenv(STORE_DIR_ENV, str(tmp_path))
+        native.reset_native_caches()
+        pipeline = FuncPipeline()
+        pipeline.add(blur_func(), input_name="input_1", pad=1, name="blur1")
+        pipeline.add(blur_func(), input_name="input_1", pad=1, name="blur2")
+        frame = _frames(1)[0]
+        expected = pipeline.realize(frame, engine="compiled")
+        before = native.native_stats()
+        with PipelineServer(pipeline, engine="native", warm_start=False,
+                            frame_shape=frame.shape) as server:
+            built = native.native_stats()
+            assert built["compiles"] == before["compiles"] + 1
+            output, _ = server.submit(image=frame).result()
+        after = native.native_stats()
+        assert after["compiles"] == built["compiles"]
+        assert after["native_frames"] == built["native_frames"] + 1
+        np.testing.assert_array_equal(output, expected)
+
 
 class TestCacheUnderConcurrentBatches:
     def test_many_threads_share_one_kernel(self):
