@@ -3,14 +3,17 @@
 The architectural claim behind lowering reduction (RDom) stages: an
 associative accumulation no longer serializes on its accumulator — the RDom
 domain splits into row strips, each strip fills a *private* partial
-accumulator on the shared worker pool (``np.add.at`` releases the GIL for
-the indexed work), and a deterministic serial merge folds the partials into
-the output.  Both schedules execute the same lowered pipeline through the
+accumulator on the shared worker pool, and a deterministic serial merge
+folds the partials into the output.  On a 2-vCPU host (NumPy 2.4) the
+strips' ``np.add.at`` scatters overlap across threads (1.9x on 2 threads
+for 8 strips of 80x960 with a 0-d increment), but the whole sweep gained
+only 0.9-1.35x over three runs of this benchmark.  Both schedules execute the same lowered pipeline through the
 same backend and are bit-identical to the interpreter oracle; only the
 update phase differs.
 
-Records ``fig8_reduction/serial``, ``fig8_reduction/parallel`` and
-``fig8_reduction/serving`` in BENCH_results.json.  The >=1.5x
+Records ``fig8_reduction/serial``, ``fig8_reduction/parallel``,
+``fig8_reduction/serving`` and ``fig8_reduction/lifted_equalize`` (the
+lifted Photoshop histogram on the compiled engine) in BENCH_results.json.  The >=1.5x
 parallel-vs-serial assertion is gated on an effective pool of >= 4 workers
 (smaller hosts still record the trajectory), matching the other fig8
 parallel benchmarks.
@@ -32,6 +35,7 @@ from repro.halide import (
     configure_pool,
     kernel_cache_stats,
     pool_size,
+    realize,
 )
 from repro.halide.parallel import parallel_enabled
 from repro.ir import (
@@ -124,6 +128,30 @@ def test_fig8_reduction_parallel_vs_serial(bench_planes_large):
     if pool_size() >= 4 and parallel_enabled():
         assert speedup >= 1.5, \
             f"parallel reduction only {speedup:.2f}x faster"
+
+
+def test_fig8_reduction_lifted_equalize(bench_planes_large):
+    """The lifted Photoshop equalize histogram (an RDom update over the whole
+    frame) on the compiled engine: bit-identical to the interpreter, timed
+    as ``fig8_reduction/lifted_equalize``."""
+    from repro.rejuvenation import lift_photoshop_filter
+    from repro.rejuvenation.serving import make_serve_requests
+
+    func, (request,) = make_serve_requests(
+        lift_photoshop_filter("equalize"), [bench_planes_large["r"]])
+    assert func.reduction is not None
+    args = (request["shape"], request["buffers"], request.get("params") or {})
+    compiled = realize(func, *args, engine="compiled")
+    np.testing.assert_array_equal(compiled, realize(func, *args,
+                                                    engine="interp"))
+    assert compiled.sum() == LARGE_WIDTH * LARGE_HEIGHT
+
+    seconds = time_callable(lambda: realize(func, *args, engine="compiled"), 5)
+    print_table(f"Figure 8 (reduction): lifted equalize histogram at "
+                f"{LARGE_WIDTH}x{LARGE_HEIGHT}", ["engine", "ms"],
+                [["compiled", f"{seconds * 1000:.2f}"]])
+    record_bench("fig8_reduction/lifted_equalize", seconds, engine="compiled",
+                 image_size=(LARGE_WIDTH, LARGE_HEIGHT))
 
 
 def test_fig8_reduction_serving_zero_per_request_compiles(bench_planes_large):

@@ -263,9 +263,9 @@ class _DomainEmitter:
     """Emits straight-line NumPy code evaluating expressions over a domain.
 
     ``mode='pure'`` evaluates over the output block (``origin``/``extent``
-    locals, window loads enabled); ``mode='reduction'`` evaluates over the
-    reduction source's full domain (``_rshape`` local, gathers only, int64
-    arithmetic mirroring the interpreter exactly).
+    locals, window loads enabled); ``mode='reduction'`` evaluates over one
+    RDom sub-region (``_rorigin``/``_rextent`` locals, plain-shift window
+    loads, int64 arithmetic mirroring the interpreter exactly).
     """
 
     def __init__(self, func: Func, roots: list[Expr], mode: str,
@@ -284,6 +284,8 @@ class _DomainEmitter:
         self.span_vars: dict[tuple, str] = {}
         if mode == "pure":
             self._classify_windows()
+        else:
+            self._classify_reduction_windows()
         self.numbering = number_subtrees(
             roots, skip_children=lambda n: n in self.windows)
         self.intervals: dict[int, Optional[tuple]] = {}
@@ -348,6 +350,25 @@ class _DomainEmitter:
                 for axis, offset in enumerate(offsets):
                     span[0][axis] = min(span[0][axis], offset)
                     span[1][axis] = max(span[1][axis], offset)
+
+    def _classify_reduction_windows(self) -> None:
+        """Find the RDom-aligned taps: index ``p`` is RDom variable ``p`` + c.
+
+        Each maps to ``(offsets, None)`` (NumPy axis order) and loads on its
+        own with ``_win`` over the sub-region ``_rorigin``/``_rextent``.
+        """
+        rdom_vars = [v.name for v in self.func.reduction[0].vars()]
+        if not rdom_vars:
+            return
+        for node in (n for root in self.roots for n in root.walk()):
+            if not isinstance(node, BufferAccess):
+                continue
+            shifts = [_shift_of_index(index) for index in node.indices]
+            if len(shifts) == len(rdom_vars) and all(
+                    shift is not None and shift[0] == name
+                    for shift, name in zip(shifts, rdom_vars)):
+                self.windows[node] = (
+                    tuple(offset for _, offset in reversed(shifts)), None)
 
     def _analyze(self) -> None:
         reduction_vars = set()
@@ -692,6 +713,7 @@ class _DomainEmitter:
             return var
         var = f"_g{len(self.grid_vars)}"
         self.grid_vars[name] = var
+        self.uses_var_grid = True
         if self.mode == "pure":
             position = {v.name: p for p, v in enumerate(self.func.variables)}[name]
             axis = self.rank - 1 - position
@@ -699,7 +721,6 @@ class _DomainEmitter:
             dt = self.idt_name if self.narrow else "_np.int64"
             self._line(f"{var} = _np.arange(origin[{axis}], origin[{axis}] "
                        f"+ extent[{axis}], dtype={dt}).reshape({shape})")
-            self.uses_var_grid = True
         else:
             rdom = self.func.reduction[0]
             position = {v.name: p for p, v in enumerate(rdom.vars())}[name]
@@ -716,6 +737,13 @@ class _DomainEmitter:
         as_float = node.dtype.is_float or self.kinds[vid] == "f64"
         dt = "_np.float64" if as_float else self.idt_name
         window = self.windows.get(node)
+        if window is not None and self.mode == "reduction":
+            # The interpreter gathers over the RDom grid; _win slices the
+            # same elements when in bounds and gathers (wrapping negative,
+            # raising on out-of-range indices) otherwise.
+            self._store(node, f"_win({array}, {window[0]!r}, _rorigin, "
+                        f"_rextent, {dt})", owned=True, full=True)
+            return
         if window is not None:
             offsets, key = window
             var = self._span_window(key, array)
@@ -830,17 +858,18 @@ class _DomainEmitter:
             self._store(node, f"_np.asarray({a}) {_PLAIN_OPS[node.op]} {b}",
                         owned=True, full=full)
             return
-        if node.op == Op.DIV and kind == "int":
+        if node.op in (Op.DIV, Op.MOD) and kind == "int":
+            floors = self._floors_exactly(node)
             a = self._operand(node.a)
             b = self._operand(node.b)
             full = self._peek(node.a).full or self._peek(node.b).full
-            self._store(node, f"_trunc_divide({a}, {b})", owned=True, full=full)
-            return
-        if node.op == Op.MOD:
-            a = self._operand(node.a)
-            b = self._operand(node.b)
-            full = self._peek(node.a).full or self._peek(node.b).full
-            self._store(node, f"_trunc_remainder({a}, {b})", owned=True, full=full)
+            if floors:
+                code = f"{a} {'//' if node.op == Op.DIV else '%'} {b}"
+            else:
+                helper = "_trunc_divide" if node.op == Op.DIV \
+                    else "_trunc_remainder"
+                code = f"{helper}({a}, {b})"
+            self._store(node, code, owned=True, full=full)
             return
         if node.op in (Op.MIN, Op.MAX):
             fn = "_np.minimum" if node.op == Op.MIN else "_np.maximum"
@@ -865,6 +894,25 @@ class _DomainEmitter:
         b = self._operand(node.b)
         full = self._peek(node.a).full or self._peek(node.b).full
         self._store(node, f"{a} {_PLAIN_OPS[node.op]} {b}", owned=True, full=full)
+
+    def _floors_exactly(self, node: BinOp) -> bool:
+        """May a reduction sweep emit ``//``/``%`` for this DIV/MOD?
+
+        Flooring equals x86 truncation when the dividend is provably
+        ``>= 0`` and the divisor is a positive integer constant (which also
+        rules out the zero-divisor error).  Only full int64 dividends
+        qualify, so the result's type is the helper's.
+        """
+        if self.mode != "reduction":
+            return False
+        divisor = node.b
+        if not (isinstance(divisor, Const) and isinstance(divisor.value, int)
+                and divisor.value > 0):
+            return False
+        dividend = self._peek(node.a)
+        interval = self.intervals[self.numbering.ids[node.a]]
+        return (dividend.kind == "int" and dividend.full
+                and interval is not None and interval[0] >= 0)
 
     def _try_inplace(self, node: BinOp, vid: int, ufunc: str) -> bool:
         """Accumulate into a dead, fully-shaped operand: no allocation.
@@ -1292,26 +1340,58 @@ def _emit_reduction_body(func: Func, namespace: dict) -> list[str]:
     source coordinates (NumPy axis order); the whole-kernel entry calls it
     over the full source domain, and lowered :class:`~repro.ir.stmt.ReduceLoop`
     nodes (plus the parallel strip executor) call it per strip.
+
+    The sweep computes exactly what :func:`~repro.halide.realize.reduce_region_interp`
+    does, through four fast paths:
+
+    * a tap whose every index is the RDom variable at its own position plus
+      a constant loads with ``_win``: a slice when in bounds, otherwise the
+      interpreter's gather over the same coordinates (negative indices wrap,
+      out-of-range ones raise ``IndexError``);
+    * DIV/MOD by a positive integer constant of a dividend whose interval is
+      ``>= 0`` emit ``//``/``%`` (flooring equals truncation there); every
+      other division keeps ``_trunc_divide``/``_trunc_remainder``;
+    * index atoms convert with ``astype(int64, copy=False)``;
+    * a 0-d increment (no RDom variable or tap in it) goes to ``np.add.at``
+      as is, and ``ufunc.at`` broadcasts it over the indices.  When the index
+      tuple covers every output axis, the indexed shape is the indices'
+      broadcast shape, so this adds the same values the interpreter's
+      ``broadcast_to(increment, indices[0].shape)`` adds, with the same
+      modular wrap and index errors.
+
+    Intervals assume RDom coordinates below ``VAR_BOUND``; a sweep reaching
+    it runs the interpreter's region sweep instead.
     """
     rdom, index_exprs, update = func.reduction
     increment = _strip_self_reference(update, func.name)
     roots = list(index_exprs) + [increment if increment is not None else update]
     emitter = _DomainEmitter(func, roots, "reduction", namespace)
     lines = ["def _reduce(out, _rorigin, _rextent, buffers, params):"]
-    lines.append("    buffers = dict(buffers)")
-    lines.append(f"    buffers[{func.name!r}] = out")
     emitter.lines = []
     atoms = emitter.emit("    ")
+    if emitter.uses_var_grid:
+        namespace["_interp_reduce"] = reduce_region_interp
+        namespace["_func"] = func
+        lines.append(f"    if max(_o + _e for _o, _e in zip(_rorigin, _rextent))"
+                     f" >= {VAR_BOUND}:")
+        lines.append("        return _interp_reduce(_func, out, _rorigin, "
+                     "_rextent, buffers, params)")
+    lines.append("    buffers = dict(buffers)")
+    lines.append(f"    buffers[{func.name!r}] = out")
     lines.extend(emitter.lines)
     index_atoms = []
     for position, expr in enumerate(index_exprs):
-        lines.append(f"    _i{position} = _np.asarray({atoms[expr]}).astype(_np.int64)")
+        lines.append(f"    _i{position} = _np.asarray({atoms[expr]})"
+                     ".astype(_np.int64, copy=False)")
         index_atoms.append(f"_i{position}")
     np_index = ", ".join(reversed(index_atoms))
     value_atom = atoms[roots[-1]]
     if increment is not None:
-        lines.append(f"    _np.add.at(out, ({np_index},), _np.broadcast_to("
-                     f"_np.asarray({value_atom}), _i0.shape).astype(out.dtype))")
+        value = f"_np.asarray({value_atom})"
+        if emitter._peek(roots[-1]).full or len(index_exprs) != len(func.variables):
+            value = f"_np.broadcast_to({value}, _i0.shape)"
+        lines.append(f"    _np.add.at(out, ({np_index},), "
+                     f"{value}.astype(out.dtype))")
     else:
         lines.append(f"    out[({np_index},)] = _wrap_cast(_np.asarray({value_atom}), "
                      "_odtype).astype(_odt)")

@@ -55,7 +55,10 @@ class Expr:
     is what the rewriting passes use.
     """
 
-    __slots__ = ("_hash", "_key")
+    #: Per-node memos, filled on first use (nodes are immutable): the
+    #: structural key, its hash and the tree's node count.  Subclasses
+    #: declare only their fields.
+    __slots__ = ("_hash", "_key", "_count")
 
     dtype: DType
 
@@ -106,17 +109,18 @@ class Expr:
     def __getstate__(self) -> dict:
         """Pickle only the structural slots, never the memo slots.
 
-        ``_key`` is pure redundancy, and ``_hash`` is poison across
-        processes: tuple hashes involve string hashes, which are randomized
-        per interpreter run, so a persisted ``_hash`` would break dict/set
-        lookups after deserialization.  Dropping both also makes the bytes
-        of two structurally identical trees identical, which the artifact
-        store's determinism guarantees rely on.
+        ``_key`` and ``_count`` are pure redundancy, and ``_hash`` is
+        poison across processes: tuple hashes involve string hashes, which
+        are randomized per interpreter run, so a persisted ``_hash`` would
+        break dict/set lookups after deserialization.  Dropping the memos
+        also makes the bytes of two structurally identical trees
+        identical, which the artifact store's determinism guarantees rely
+        on.
         """
         state = {}
         for cls in type(self).__mro__:
             for slot in getattr(cls, "__slots__", ()):
-                if slot in ("_hash", "_key") or slot in state:
+                if slot in Expr.__slots__ or slot in state:
                     continue
                 try:
                     state[slot] = getattr(self, slot)
@@ -139,7 +143,14 @@ class Expr:
             stack.extend(reversed(node.children))
 
     def node_count(self) -> int:
-        return sum(1 for _ in self.walk())
+        """Nodes in the tree (a shared subtree counts once per use)."""
+        cached = getattr(self, "_count", None)
+        if cached is None:
+            cached = 1
+            for child in self.children:
+                cached += child.node_count()
+            object.__setattr__(self, "_count", cached)
+        return cached
 
     def depth(self) -> int:
         if not self.children:
@@ -169,7 +180,7 @@ class Expr:
 class Const(Expr):
     """A literal constant."""
 
-    __slots__ = ("value", "dtype", "_hash", "_key")
+    __slots__ = ("value", "dtype")
 
     def __init__(self, value: int | float, dtype: DType = INT32):
         object.__setattr__(self, "value", dtype.wrap(value))
@@ -191,7 +202,7 @@ class Param(Expr):
     the trace is retained so generated code can be validated.
     """
 
-    __slots__ = ("name", "value", "dtype", "_hash", "_key")
+    __slots__ = ("name", "value", "dtype")
 
     def __init__(self, name: str, value: int | float = 0, dtype: DType = INT32):
         object.__setattr__(self, "name", name)
@@ -208,7 +219,7 @@ class Param(Expr):
 class Var(Expr):
     """A symbolic loop variable (``x_0``, ``x_1``, ...) of a symbolic tree."""
 
-    __slots__ = ("name", "dtype", "_hash", "_key")
+    __slots__ = ("name", "dtype")
 
     def __init__(self, name: str, dtype: DType = INT32):
         object.__setattr__(self, "name", name)
@@ -224,7 +235,7 @@ class Var(Expr):
 class MemLoad(Expr):
     """A concrete-tree leaf: a load from an absolute memory address."""
 
-    __slots__ = ("address", "dtype", "_hash", "_key")
+    __slots__ = ("address", "dtype")
 
     def __init__(self, address: int, dtype: DType = UINT8):
         object.__setattr__(self, "address", address)
@@ -246,7 +257,7 @@ class BufferAccess(Expr):
     indirect accesses such as lookup tables.
     """
 
-    __slots__ = ("buffer", "indices", "dtype", "_hash", "_key")
+    __slots__ = ("buffer", "indices", "dtype")
 
     def __init__(self, buffer: str, indices: Sequence[Expr], dtype: DType = UINT8):
         object.__setattr__(self, "buffer", buffer)
@@ -276,7 +287,7 @@ class BufferAccess(Expr):
 class BinOp(Expr):
     """A binary arithmetic / logical / comparison operation."""
 
-    __slots__ = ("op", "a", "b", "dtype", "_hash", "_key")
+    __slots__ = ("op", "a", "b", "dtype")
 
     def __init__(self, op: str, a: Expr, b: Expr, dtype: DType | None = None):
         object.__setattr__(self, "op", op)
@@ -304,7 +315,7 @@ class BinOp(Expr):
 class UnOp(Expr):
     """A unary operation (negation, bitwise not, abs)."""
 
-    __slots__ = ("op", "a", "dtype", "_hash", "_key")
+    __slots__ = ("op", "a", "dtype")
 
     def __init__(self, op: str, a: Expr, dtype: DType | None = None):
         object.__setattr__(self, "op", op)
@@ -329,7 +340,7 @@ class UnOp(Expr):
 class Cast(Expr):
     """An explicit conversion, including the paper's downcast ("DC") nodes."""
 
-    __slots__ = ("a", "dtype", "_hash", "_key")
+    __slots__ = ("a", "dtype")
 
     def __init__(self, dtype: DType, a: Expr):
         object.__setattr__(self, "a", a)
@@ -353,7 +364,7 @@ class Cast(Expr):
 class Select(Expr):
     """A conditional expression: ``cond ? if_true : if_false``."""
 
-    __slots__ = ("cond", "if_true", "if_false", "dtype", "_hash", "_key")
+    __slots__ = ("cond", "if_true", "if_false", "dtype")
 
     def __init__(self, cond: Expr, if_true: Expr, if_false: Expr):
         object.__setattr__(self, "cond", cond)
@@ -379,7 +390,7 @@ class Select(Expr):
 class Call(Expr):
     """A call to a known external library function (``sqrt``, ``floor``...)."""
 
-    __slots__ = ("func", "args", "dtype", "_hash", "_key")
+    __slots__ = ("func", "args", "dtype")
 
     def __init__(self, func: str, args: Sequence[Expr], dtype: DType):
         object.__setattr__(self, "func", func)

@@ -14,25 +14,70 @@ instruction mix — hash to the same cluster.  Two rewrites matter most:
 
 from __future__ import annotations
 
+import functools
 from collections import OrderedDict
 
 from .expr import BinOp, BufferAccess, Cast, Call, Const, Expr, MemLoad, Op, Param, Select, UnOp, Var
 from .types import DType, FLOAT64, INT64
 
 
-def _order_key(expr: Expr) -> tuple:
-    """Deterministic sort key used to order commutative operands."""
-    if isinstance(expr, Const):
-        return (0, str(expr.value))
-    if isinstance(expr, Param):
-        return (1, expr.name)
-    if isinstance(expr, Var):
-        return (2, expr.name)
-    if isinstance(expr, MemLoad):
-        return (3, f"{expr.address:016x}")
-    if isinstance(expr, BufferAccess):
-        return (4, expr.buffer, tuple(_order_key(i) for i in expr.indices))
-    return (5, str(expr.key()))
+class _OrderKeys:
+    """The deterministic sort key ordering commutative operands.
+
+    Interior nodes order by the text of their structural key,
+    ``str(expr.key())``.  One instance serves one :func:`simplify` call and
+    prints each node's text once, from its children's texts: every
+    fixed-point pass orders the same subtrees again.  The texts go with the
+    call; kept on the nodes they would hold characters proportional to
+    nodes x depth for as long as the trees live.
+    """
+
+    def __init__(self) -> None:
+        #: ``id(node) -> (node, text)``: keyed by identity, not by the node,
+        #: so printing does not also cache a hash on every node it visits;
+        #: holding the node keeps its id from being reused during the call.
+        self.texts: dict[int, tuple[Expr, str]] = {}
+
+    def __call__(self, expr: Expr) -> tuple:
+        if isinstance(expr, Const):
+            return (0, str(expr.value))
+        if isinstance(expr, Param):
+            return (1, expr.name)
+        if isinstance(expr, Var):
+            return (2, expr.name)
+        if isinstance(expr, MemLoad):
+            return (3, f"{expr.address:016x}")
+        if isinstance(expr, BufferAccess):
+            return (4, expr.buffer, tuple(self(i) for i in expr.indices))
+        return (5, self.text(expr))
+
+    def text(self, expr: Expr) -> str:
+        """``str(expr.cached_key())``."""
+        entry = self.texts.get(id(expr))
+        if entry is not None:
+            return entry[1]
+        children = {id(child.cached_key()): child for child in expr.children}
+        text = self._print(expr.cached_key(), children)
+        self.texts[id(expr)] = (expr, text)
+        return text
+
+    def _print(self, value, children: dict) -> str:
+        """``str(value)`` for a part of a key; ``children`` maps the ids of
+        the node's child keys to the children, whose texts are reused."""
+        if type(value) is tuple:
+            child = children.get(id(value))
+            if child is not None:
+                return self.text(child)
+            parts = [self._print(item, children) for item in value]
+            return "(" + ", ".join(parts) + ("," if len(parts) == 1 else "") + ")"
+        if type(value) is DType:
+            return _dtype_text(value)
+        return repr(value)
+
+
+@functools.cache
+def _dtype_text(dtype: DType) -> str:
+    return repr(dtype)
 
 
 def _trunc_div(a: int, b: int) -> int:
@@ -144,11 +189,12 @@ def _as_terms(expr: Expr) -> tuple[OrderedDict, int | float] | None:
     return terms, constant
 
 
-def _from_terms(terms: OrderedDict, constant: int | float, dtype: DType) -> Expr:
+def _from_terms(terms: OrderedDict, constant: int | float, dtype: DType,
+                order_key: _OrderKeys) -> Expr:
     """Rebuild a canonical expression from a term map."""
     ordered = sorted(
         ((term, coeff) for term, coeff in terms.items() if coeff != 0),
-        key=lambda item: _order_key(item[0]),
+        key=lambda item: order_key(item[0]),
     )
     result: Expr | None = None
     negative_parts: list[Expr] = []
@@ -179,7 +225,7 @@ def _from_terms(terms: OrderedDict, constant: int | float, dtype: DType) -> Expr
 # ---------------------------------------------------------------------------
 
 
-def _simplify_node(expr: Expr) -> Expr:
+def _simplify_node(expr: Expr, order_key: _OrderKeys) -> Expr:
     if isinstance(expr, BinOp):
         a, b = expr.a, expr.b
         if isinstance(a, Const) and isinstance(b, Const):
@@ -219,7 +265,7 @@ def _simplify_node(expr: Expr) -> Expr:
             if expr.dtype.is_integer and mask == (1 << expr.dtype.bits) - 1:
                 return a
         # Order commutative operands deterministically.
-        if expr.op in Op.COMMUTATIVE and _order_key(b) < _order_key(a):
+        if expr.op in Op.COMMUTATIVE and order_key(b) < order_key(a):
             return BinOp(expr.op, b, a, expr.dtype)
     elif isinstance(expr, UnOp):
         if isinstance(expr.a, Const):
@@ -250,13 +296,15 @@ def simplify(expr: Expr) -> Expr:
     an ordered sum-of-terms and cancels matching terms.
     """
 
+    order_key = _OrderKeys()
+
     def rewrite(node: Expr) -> Expr:
-        node = _simplify_node(node)
+        node = _simplify_node(node, order_key)
         if isinstance(node, BinOp) and node.op in (Op.ADD, Op.SUB) and not node.dtype.is_float:
             decomposed = _as_terms(node)
             if decomposed is not None:
                 terms, constant = decomposed
-                rebuilt = _from_terms(terms, constant, node.dtype)
+                rebuilt = _from_terms(terms, constant, node.dtype, order_key)
                 if rebuilt.node_count() <= node.node_count():
                     return rebuilt
         return node

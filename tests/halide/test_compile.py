@@ -167,6 +167,78 @@ class TestTruncatedDivision:
         assert compiled[0, 1] == 0 and compiled[1, 1] == -1  # 1 / -3, 5 / -3
 
 
+def _sweep_source(func) -> str:
+    """The generated ``_reduce`` of a reduction Func's compiled kernel."""
+    kernel = compile_func(func)
+    assert kernel.engine == "compiled"
+    start = kernel.source.index("def _reduce")
+    return kernel.source[start:kernel.source.index("def _kernel")]
+
+
+class TestReductionSweepFastPaths:
+    """The compiled RDom sweep slices window taps, passes 0-d increments to
+    ``np.add.at`` unbroadcast and floors only interval-proven divisions."""
+
+    def test_lifted_equalize_sweep_has_no_gather_broadcast_or_trunc(self):
+        from repro.rejuvenation import lift_photoshop_filter
+        from repro.rejuvenation.serving import make_serve_requests
+
+        result = lift_photoshop_filter("equalize")
+        frame = np.random.default_rng(4).integers(0, 256, size=(24, 40),
+                                                  dtype=np.uint8)
+        func, (request,) = make_serve_requests(result, [frame])
+        sweep = _sweep_source(func)
+        assert "_win(" in sweep
+        for slow in ("_gather(", "broadcast_to(", "_trunc_divide"):
+            assert slow not in sweep, slow
+        args = (request["shape"], request["buffers"],
+                request.get("params") or {})
+        np.testing.assert_array_equal(realize(func, *args, engine="compiled"),
+                                      realize(func, *args, engine="interp"))
+
+    @pytest.mark.parametrize("op", [Op.DIV, Op.MOD])
+    def test_possibly_negative_dividend_keeps_truncation(self, op):
+        image = np.arange(256, dtype=np.uint8).reshape(16, 16)
+        tap = Cast(INT32, BufferAccess("input_1", [IRVar("r_0"), IRVar("r_1")],
+                                       UINT8))
+        shifted = BinOp(Op.SUB, tap, Const(100, INT32), INT32)
+        index = BinOp(Op.ADD, BinOp(op, shifted, Const(7, INT32), INT32),
+                      Const(20, INT32), INT32)
+        func = Func("hist", [Var("x_0")], dtype=UINT32).define(Const(0, UINT32))
+        func.update(RDom("r_0", source="input_1", dimensions=2), [index],
+                    BinOp(Op.ADD, BufferAccess("hist", [index], UINT32),
+                          Const(1, UINT32)))
+        helper = "_trunc_divide(" if op == Op.DIV else "_trunc_remainder("
+        assert helper in _sweep_source(func)
+        values = image.astype(np.int64).ravel() - 100
+        truncated = np.fix(values / 7).astype(np.int64)
+        if op == Op.MOD:
+            truncated = values - truncated * 7
+        expected = np.bincount(truncated + 20, minlength=64).astype(np.uint32)
+        compiled = realize(func, (64,), {"input_1": image}, engine="compiled")
+        np.testing.assert_array_equal(compiled, expected)
+        np.testing.assert_array_equal(
+            compiled, realize_interp(func, (64,), {"input_1": image}))
+
+    def test_coordinates_past_var_bound_take_the_interpreter_sweep(self):
+        """Intervals assume RDom coordinates below VAR_BOUND: ``C - r_0``
+        is proven >= 0 only there, so a longer source must not floor."""
+        from repro.halide.compile import VAR_BOUND
+
+        source = np.zeros(VAR_BOUND + 8, dtype=np.uint8)
+        dividend = BinOp(Op.SUB, Const(VAR_BOUND, INT32), IRVar("r_0"), INT32)
+        index = BinOp(Op.AND, BinOp(Op.DIV, dividend, Const(3, INT32), INT32),
+                      Const(3, INT32), INT32)
+        func = Func("hist", [Var("x_0")], dtype=UINT32).define(Const(0, UINT32))
+        func.update(RDom("r_0", source="input_1", dimensions=1), [index],
+                    BinOp(Op.ADD, BufferAccess("hist", [index], UINT32),
+                          Const(1, UINT32)))
+        assert " // 3" in _sweep_source(func)
+        compiled = realize(func, (4,), {"input_1": source}, engine="compiled")
+        np.testing.assert_array_equal(
+            compiled, realize_interp(func, (4,), {"input_1": source}))
+
+
 class TestFuncPipelineFusion:
     def _stencil(self, name="stencil"):
         x, y = x_y()

@@ -120,6 +120,109 @@ class TestReductionDifferential:
         np.testing.assert_array_equal(compiled, interp)
 
 
+def _rdom_tap(dx, dy):
+    """``cast<int32>(input_1(r_0 + dx, r_1 + dy))``: a window tap of the RDom."""
+    ix = IRVar("r_0") if dx == 0 else BinOp(Op.ADD, IRVar("r_0"), Const(dx))
+    iy = IRVar("r_1") if dy == 0 else BinOp(Op.ADD, IRVar("r_1"), Const(dy))
+    return Cast(INT32, BufferAccess("input_1", [ix, iy], UINT8))
+
+
+#: Histogram bins per axis of the fast-path reductions.
+BINS = 12
+
+
+@st.composite
+def reduction_indices(draw):
+    """One bin index over shifted RDom taps.
+
+    ``mod``/``div`` have dividends proven ``>= 0`` (the sweep's ``//`` and
+    ``%`` path); ``neg_div``/``neg_mod`` subtract first, so the dividend may
+    be negative and truncation must stay; ``raw`` is the tap itself.
+    Offsets of -1 wrap and offsets of +1 run off the source (IndexError).
+    """
+    shifts = st.sampled_from([0] * 10 + [-1, 1])
+    tap = _rdom_tap(draw(shifts), draw(shifts))
+    kind = draw(st.sampled_from(["mod", "div", "neg_div", "neg_mod", "raw"]))
+    if kind == "mod":
+        return BinOp(Op.MOD, tap, Const(BINS), INT32)
+    if kind == "div":
+        scaled = BinOp(Op.MUL, tap, Const(4), INT32)
+        return BinOp(Op.DIV, scaled, Const(4 * draw(st.integers(1, 3))), INT32)
+    shifted = BinOp(Op.SUB, tap, Const(draw(st.integers(0, BINS + 2))), INT32)
+    if kind == "neg_div":
+        return BinOp(Op.DIV, shifted, Const(draw(st.integers(1, 3))), INT32)
+    if kind == "neg_mod":
+        return BinOp(Op.MOD, shifted, Const(BINS), INT32)
+    return tap
+
+
+class TestReductionFastPathsDifferential:
+    """RDom updates through the compiled sweep's fast paths (window taps,
+    0-d increments, floored division) agree with the interpreter exactly:
+    same bits, or the same error type."""
+
+    INCREMENTS = {
+        "one": Const(1),
+        "negative": Const(-1),
+        "large": Const(200),
+        "param": Param("param_k", 3, INT32),
+        "pixel": _rdom_tap(0, 0),
+    }
+
+    @staticmethod
+    def _outcome(run):
+        try:
+            return run(), None
+        except Exception as exc:           # compared by type below
+            return None, type(exc)
+
+    @settings(max_examples=80, deadline=None)
+    @given(rank=st.sampled_from([1, 2]), data=st.data(),
+           increment=st.sampled_from(sorted(INCREMENTS)),
+           dtype=st.sampled_from([UINT8, UINT32, INT32]),
+           top=st.sampled_from([BINS - 1] * 3 + [255]),
+           seed=st.integers(0, 999))
+    def test_rdom_updates_match(self, rank, data, increment, dtype, top, seed):
+        from repro.halide import compile_func
+        from repro.halide.realize import reduce_region_interp
+
+        indices = [data.draw(reduction_indices()) for _ in range(rank)]
+        variables = [Var(f"x_{d}") for d in range(rank)]
+        func = Func("hist", variables, dtype=dtype).define(Const(0, dtype))
+        func.update(RDom("r_0", source="input_1", dimensions=2), indices,
+                    BinOp(Op.ADD, BufferAccess("hist", indices, dtype),
+                          self.INCREMENTS[increment], dtype))
+        # Tall enough that a uint8 bin wraps around under the large increment.
+        image = np.random.default_rng(seed).integers(
+            0, top + 1, size=(19, 11), dtype=np.uint8)
+        buffers = {"input_1": image}
+        params = {"param_k": -5 if seed % 2 else 7}
+        shape = (BINS,) * rank
+        compiled = self._outcome(lambda: realize(
+            func, shape, buffers, params, engine="compiled"))
+        interp = self._outcome(lambda: realize_interp(
+            func, shape, buffers, params))
+        assert compiled[1] == interp[1]
+        if interp[1] is None:
+            np.testing.assert_array_equal(compiled[0], interp[0])
+            assert compiled[0].dtype == interp[0].dtype
+
+        # One strip at a non-zero RDom origin (the lowered/parallel path).
+        kernel = compile_func(func)
+        assert kernel.engine == "compiled"
+        origin, extent = (5, 0), (7, 11)
+        out_shape = tuple(reversed(shape))
+        strip = self._outcome(lambda: kernel.reduce_region(
+            np.zeros(out_shape, dtype.to_numpy()), origin, extent, buffers,
+            params))
+        strip_interp = self._outcome(lambda: reduce_region_interp(
+            func, np.zeros(out_shape, dtype.to_numpy()), origin, extent,
+            buffers, params))
+        assert strip[1] == strip_interp[1]
+        if strip_interp[1] is None:
+            np.testing.assert_array_equal(strip[0], strip_interp[0])
+
+
 class TestPipelineDifferential:
     """Random multi-stage pipelines with random compute levels.
 

@@ -84,3 +84,30 @@ class TestHelpers:
         param = Param("param_p_10", 42, INT32)
         assert param.value == 42
         assert param == Param("param_p_10", 17, INT32)  # value not part of identity
+
+
+
+class TestPerNodeMemos:
+    """node_count is cached per node and must equal a fresh walk's count;
+    the memo never reaches the pickled bytes."""
+
+    @staticmethod
+    def _tree():
+        index = BinOp(Op.ADD, Var("x_0"), Const(-1))
+        tap = Cast(UINT32, BufferAccess("input_1", [index], UINT8))
+        scaled = BinOp(Op.MUL, tap, Param("param_a", 3, INT32), UINT32)
+        return Select(BinOp(Op.LT, scaled, Const(2)),
+                      Cast(UINT8, UnOp(Op.NEG, MemLoad(0x1000, UINT8))), tap)
+
+    def test_node_count_equals_walk(self):
+        for node in self._tree().walk():
+            assert node.node_count() == sum(1 for _ in node.walk())
+
+    def test_pickles_without_memo_slots(self):
+        import pickle
+
+        fresh, used = self._tree(), self._tree()
+        used.node_count(), hash(used)
+        assert pickle.dumps(used) == pickle.dumps(fresh)
+        clone = pickle.loads(pickle.dumps(used))
+        assert clone == used and clone.node_count() == used.node_count()

@@ -114,6 +114,32 @@ class TestSimplifyProperties:
     def test_simplify_never_grows_much(self, expr):
         assert simplify(expr).node_count() <= expr.node_count() + 2
 
+    @given(expr=random_int_exprs())
+    @settings(max_examples=60, deadline=None)
+    def test_order_key_text_matches_printed_key(self, expr):
+        """The commutative order compares key texts built from the
+        children's texts; they must print exactly like the key itself."""
+        from repro.ir.simplify import _OrderKeys
+
+        order_key = _OrderKeys()
+        for tree in (expr, simplify(expr)):
+            for node in tree.walk():
+                assert order_key.text(node) == str(node.key())
+
+    def test_order_key_text_of_every_node_kind(self):
+        from repro.ir import BufferAccess, Call, FLOAT64, INT32
+        from repro.ir.simplify import _OrderKeys
+
+        tap = Cast(UINT8, BufferAccess("input_1", [BinOp(Op.ADD, Var("x"),
+                                                         Const(-1))], UINT8))
+        root = Select(BinOp(Op.LT, Call("sqrt", [Cast(FLOAT64, tap)], FLOAT64),
+                            Const(2.5, FLOAT64)),
+                      UnOp(Op.NEG, MemLoad(0x1000, UINT8)),
+                      BinOp(Op.MUL, tap, Param("param_k", 3, INT32)))
+        order_key = _OrderKeys()
+        for node in root.walk():
+            assert order_key.text(node) == str(node.key())
+
     @given(x=st.integers(-50, 50), y=st.integers(-50, 50))
     @settings(max_examples=60, deadline=None)
     def test_canonical_form_of_commuted_sums(self, x, y):
